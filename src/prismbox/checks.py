@@ -53,41 +53,30 @@ def _end(ptr: int, access_size: int) -> int:
 def bounds_check(ksa: int, ptr: int, access_size: int, mem,
                  stats: CheckStats | None = None,
                  skip_lower: bool = False) -> CheckOutcome:
-    """Prism predicate: end-exclusive upper bound against the reconstructed EA."""
-    ea = compute_ea(ksa)
+    """Prism predicate: end-exclusive upper bound against the EA in the tag.
+
+    prism reconstructs the EA from the frame-relative tag; prism32 reads it
+    straight from the tag area.
+    """
+    ea = decode_ea32(ksa) if mem.mode.kind == "prism32" else compute_ea(ksa)
     ksa_raw = mem.mode.strip(ksa)
-    outcome = _check_exact(ksa_raw, ptr, access_size, ea, mem, skip_lower)
-    if stats is not None:
-        stats.note(outcome)
-        if outcome.sa_fetched:
-            stats.fetch_log.append((ptr, ksa_raw))
-    return outcome
-
-
-def bounds_check32(ksa: int, ptr: int, access_size: int, mem,
-                   stats: CheckStats | None = None,
-                   skip_lower: bool = False) -> CheckOutcome:
-    """prism32 predicate: EA read straight from the tag area."""
-    ea = decode_ea32(ksa)
-    ksa_raw = mem.mode.strip(ksa)
-    outcome = _check_exact(ksa_raw, ptr, access_size, ea, mem, skip_lower)
-    if stats is not None:
-        stats.note(outcome)
-        if outcome.sa_fetched:
-            stats.fetch_log.append((ptr, ksa_raw))
-    return outcome
-
-
-def _check_exact(ksa_raw: int, ptr: int, access_size: int, ea: int, mem,
-                 skip_lower: bool) -> CheckOutcome:
     if _end(ptr, access_size) > ea:
-        return CheckOutcome(False, Reason.UPPER_BOUND)
-    if not skip_lower and ptr < ksa_raw:
-        sa = mem.read_sa(ea)
-        if ptr < sa:
-            return CheckOutcome(False, Reason.LOWER_BOUND, sa_fetched=True)
-        return CheckOutcome(True, sa_fetched=True)
-    return CheckOutcome(True)
+        outcome = CheckOutcome(False, Reason.UPPER_BOUND)
+    elif not skip_lower and ptr < ksa_raw:
+        if ptr < mem.read_sa(ea):
+            outcome = CheckOutcome(False, Reason.LOWER_BOUND, sa_fetched=True)
+        else:
+            outcome = CheckOutcome(True, sa_fetched=True)
+        if stats is not None:
+            stats.fetch_log.append((ptr, ksa_raw))
+    else:
+        outcome = CheckOutcome(True)
+    if stats is not None:
+        stats.note(outcome)
+    return outcome
+
+
+bounds_check32 = bounds_check   # the prism32 name; the mode picks the decoder
 
 
 def bounds_check_2k(ksa: int, ptr: int, access_size: int, mode: Mode,
@@ -116,8 +105,6 @@ def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
                  skip_lower: bool = False) -> CheckOutcome:
     if mode.kind == "pow2":
         return bounds_check_2k(ksa, ptr, access_size, mode, stats, skip_lower)
-    if mode.kind == "prism32":
-        return bounds_check32(ksa, ptr, access_size, mem, stats, skip_lower)
     return bounds_check(ksa, ptr, access_size, mem, stats, skip_lower)
 
 

@@ -1,7 +1,7 @@
 """Command-line front end: run programs, replay the bug corpus, fuzz.
 
-Exit codes for `run`: 0 clean exit, 2 bounds violation, 3 escape
-violation, 4 parse or validation error.
+Exit codes for `run`: 0 clean exit, 1 VM error or differential mismatch,
+2 bounds violation, 3 escape violation, 4 parse or validation error.
 """
 
 from __future__ import annotations

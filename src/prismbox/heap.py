@@ -6,11 +6,18 @@ Every allocation stores its start address in the 8 bytes at EA+q (except
 pow2 mode, which checks bounds by XOR and never reads SA back).
 Memory is materialized lazily as 64KB pages; touching an unmapped page is
 a SimFault, i.e. a sandbox bug rather than a guest-program bug.
+
+Stack addresses are reused: popping a frame rewinds the stack pointer, so
+a later frame's objects can cover a dead frame's records.  Every record
+lookup therefore goes through one index over record start addresses
+(`SimMemory.record_at`), which answers with the newest record covering an
+address.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
 
 from .tagging import (
     ADDR_MASK,
@@ -68,6 +75,25 @@ class AllocationRecord:
     kind: str = "heap"                # heap | stack | global
 
 
+IN_BOUNDS = "IN_BOUNDS"
+IN_PADDING = "IN_PADDING"
+OOB = "OOB"
+
+
+def classify(addr: int, size: int, rec: AllocationRecord | None) -> str:
+    """Exact classification of an access against one allocation record.
+
+    An escaping pointer is a zero-size access: it may point at EA itself.
+    """
+    if rec is None or addr < rec.sa:
+        return OOB
+    if addr + size <= rec.ea:
+        return IN_BOUNDS
+    if addr + size <= rec.ea + rec.q:
+        return IN_PADDING
+    return OOB
+
+
 @dataclass
 class _LargeFrame:
     base: int
@@ -88,8 +114,12 @@ class SimMemory:
         self.q = mode.q
         self.materialize = materialize
         self.pages: dict[int, bytearray] = {}
-        self.records: list[AllocationRecord] = []
-        self._by_sa: dict[int, AllocationRecord] = {}
+        self.records: list[AllocationRecord] = []   # in allocation order
+        # The record index: disjoint closed spans [start, end], sorted by
+        # start, each the visible part of the newest record covering it.
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        self._owners: list[AllocationRecord] = []
         # Allocator cursors.
         self._small_frame: int | None = None
         self._small_bump = 0
@@ -145,10 +175,6 @@ class SimMemory:
     def read_sa(self, ea: int) -> int:
         return int.from_bytes(self.read(ea + self.q, 8), "little")
 
-    def _store_sa(self, record: AllocationRecord) -> None:
-        if self.materialize:
-            self.write(record.ea + self.q, record.sa.to_bytes(8, "little"))
-
     # ------------------------------------------------------------ allocation
 
     def alloc(self, size: int) -> int:
@@ -199,7 +225,7 @@ class SimMemory:
         tagged = encode_prism(sa, ea, FrameClass.LARGE)
         return self._record(sa, ea, size, tagged, (y, ea))
 
-    def alloc_pow2(self, size: int) -> int:
+    def alloc_pow2(self, size: int, kind: str = "heap") -> int:
         if size < 0:
             raise AllocError("pow2 allocation needs size >= 0")
         aligned = _next_pow2(size + 1)
@@ -211,12 +237,10 @@ class SimMemory:
         self.map_range(sa, sa + reserve)
         ea = sa + size
         tagged = encode_pow2(sa, aligned.bit_length() - 1)
-        rec = self._record(sa, ea, size, tagged, (sa, sa + reserve),
-                           store_sa=False)
-        self._by_sa[sa].aligned_size = aligned
-        return rec
+        return self._record(sa, ea, size, tagged, (sa, sa + reserve), kind,
+                            aligned_size=aligned)
 
-    def alloc_32(self, size: int) -> int:
+    def alloc_32(self, size: int, kind: str = "heap") -> int:
         if size < 0:
             raise AllocError("allocation needs size >= 0")
         sa = _align_up(self._bump32, 8)
@@ -226,78 +250,64 @@ class SimMemory:
         self._bump32 = ea + self.q + 8
         self.map_range(sa, ea + self.q + 8)
         tagged = encode_ea32(sa, ea)
-        return self._record(sa, ea, size, tagged, (sa, ea + self.q + 8))
+        return self._record(sa, ea, size, tagged, (sa, ea + self.q + 8), kind)
 
     def alloc_stack_escaped(self, size: int, kind: str = "stack") -> int:
         """Escaped fixed-size stack object (or a global) with metadata attached."""
-        if self.mode.kind == "prism32":
-            return self._stack_record(self.alloc_32(size), kind)
-        if self.mode.kind == "pow2":
-            return self._stack_record(self.alloc_pow2(size), kind)
-        if size + 8 <= PAGE:
-            z = _next_pow2(size + 1)
-            sa = _align_up(self.stack_ptr, z)
-            ea = sa + size
-            tagged = encode_prism(sa, ea, FrameClass.SMALL)
-        else:
-            asize = _align_up(size, PAGE)
-            y = _align_up(self.stack_ptr, PAGE)
-            sa = y + asize - size
-            ea = y + asize
-            tagged = encode_prism(sa, ea, FrameClass.LARGE)
-        end = ea + self.q + 8
-        if end > self._stack_limit:
-            raise AllocError("stack space exhausted")
-        self.map_range(min(sa, self.stack_ptr), end)
-        self.stack_ptr = _align_up(end, 8)
-        rec_tag = self._record(sa, ea, size, tagged, (sa, end))
-        return self._stack_record(rec_tag, kind)
+        return self._alloc_stack(
+            size, kind, _next_pow2(size + 1) if size + 8 <= PAGE else None)
 
     def alloc_stack_dynamic(self, size: int) -> int:
         """Runtime-sized alloca: realign to 64KB only when the object straddles."""
-        if self.mode.kind in ("prism32", "pow2"):
-            return self._stack_record(self.alloc_pow2(size) if
-                                      self.mode.kind == "pow2" else
-                                      self.alloc_32(size), "stack")
         ptr = _align_up(self.stack_ptr, 8)
-        if (ptr ^ (ptr + size)) >= PAGE:
-            asize = _align_up(size, PAGE)
-            y = _align_up(self.stack_ptr, PAGE)
-            sa = y + asize - size
-            ea = y + asize
-            tagged = encode_prism(sa, ea, FrameClass.LARGE)
+        return self._alloc_stack(
+            size, "stack", 8 if (ptr ^ (ptr + size)) < PAGE else None)
+
+    def _alloc_stack(self, size: int, kind: str, align: int | None) -> int:
+        """Place a stack object at the stack pointer rounded up to `align`, or
+        (align=None) at the top of a 64KB-aligned span so EA is 64KB-aligned.
+        prism32 and pow2 have no separate stack and use their heap allocators.
+        """
+        if self.mode.kind == "prism32":
+            return self.alloc_32(size, kind)
+        if self.mode.kind == "pow2":
+            return self.alloc_pow2(size, kind)
+        if align is None:
+            ea = _align_up(self.stack_ptr, PAGE) + _align_up(size, PAGE)
+            sa = ea - size
+            frame = FrameClass.LARGE
         else:
-            sa = ptr
+            sa = _align_up(self.stack_ptr, align)
             ea = sa + size
-            tagged = encode_prism(sa, ea, FrameClass.SMALL)
+            frame = FrameClass.SMALL
         end = ea + self.q + 8
         if end > self._stack_limit:
             raise AllocError("stack space exhausted")
         self.map_range(min(sa, self.stack_ptr), end)
         self.stack_ptr = _align_up(end, 8)
-        rec_tag = self._record(sa, ea, size, tagged, (sa, end))
-        return self._stack_record(rec_tag, "stack")
-
-    def _stack_record(self, tagged: int, kind: str) -> int:
-        self._by_sa[self.mode.strip(tagged)].kind = kind
-        return tagged
+        return self._record(sa, ea, size, encode_prism(sa, ea, frame),
+                            (sa, end), kind)
 
     def _record(self, sa: int, ea: int, size: int, tagged: int,
-                region: tuple[int, int], store_sa: bool = True) -> int:
+                region: tuple[int, int], kind: str = "heap",
+                aligned_size: int | None = None) -> int:
+        """Record a new allocation; only pow2 (aligned_size) stores no SA."""
         rec = AllocationRecord(sa=sa, ea=ea, request_size=size, q=self.q,
-                               mode=self.mode, tagged=tagged, region=region)
+                               mode=self.mode, tagged=tagged,
+                               aligned_size=aligned_size, region=region,
+                               kind=kind)
         self.records.append(rec)
-        self._by_sa[sa] = rec
-        if store_sa:
-            self._store_sa(rec)
+        self._index(rec)
+        if aligned_size is None and self.materialize:
+            self.write(ea + self.q, sa.to_bytes(8, "little"))
         return tagged
 
     # ------------------------------------------------------------------ free
 
     def free(self, tagged: int) -> None:
         sa = self.mode.strip(tagged)
-        rec = self._by_sa.get(sa)
-        if rec is None:
+        rec = self.record_at(sa)
+        if rec is None or rec.sa != sa:
             raise FreeError(f"free of unknown address {sa:#x}")
         if not rec.live:
             raise FreeError(f"double free of {sa:#x}")
@@ -315,18 +325,38 @@ class SimMemory:
                 rec.live = False
         self.stack_ptr = stack_ptr
 
-    # ---------------------------------------------------------------- oracle
+    # --------------------------------------------------------------- records
 
-    def find_record(self, addr: int) -> AllocationRecord | None:
-        """Live record whose reserved object span contains addr."""
-        for rec in self.records:
-            if rec.live and rec.sa <= addr <= rec.ea + rec.q:
-                return rec
+    def _index(self, rec: AllocationRecord) -> None:
+        """Make rec the owner of [rec.sa, rec.ea] in the record index.
+
+        The records under a new one are those of popped stack frames: their
+        covered parts are evicted, and any parts outside it stay visible.
+        """
+        sa, ea = rec.sa, rec.ea
+        starts, ends, owners = self._starts, self._ends, self._owners
+        lo = bisect_right(starts, sa)
+        if lo and ends[lo - 1] >= sa:
+            lo -= 1
+        hi = bisect_right(starts, ea, lo)
+        spans = [(sa, ea, rec)]
+        if lo < hi and starts[lo] < sa:
+            spans.insert(0, (starts[lo], sa - 1, owners[lo]))
+        if lo < hi and ends[hi - 1] > ea:
+            spans.append((ea + 1, ends[hi - 1], owners[hi - 1]))
+        starts[lo:hi], ends[lo:hi], owners[lo:hi] = zip(*spans)
+
+    def record_at(self, raw: int) -> AllocationRecord | None:
+        """The newest record, live or dead, whose [sa, ea] holds raw."""
+        i = bisect_right(self._starts, raw) - 1
+        if i >= 0 and raw <= self._ends[i]:
+            return self._owners[i]
         return None
 
     def record_for_sa(self, sa: int) -> AllocationRecord | None:
-        rec = self._by_sa.get(sa)
-        return rec if rec is not None and rec.live else None
+        """The live record that starts at sa."""
+        rec = self.record_at(sa)
+        return rec if rec is not None and rec.live and rec.sa == sa else None
 
     def check_no_overlap(self) -> None:
         """Assert no two live reservations overlap; raises AssertionError."""

@@ -10,29 +10,15 @@ value is a sandbox bug.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from .heap import IN_BOUNDS, IN_PADDING, OOB, classify  # noqa: F401
 from .instrument import ELIDED_Q, InstrumentedProgram, instrument
 from .ir import parse
 from .tagging import Mode
 from .vm import VM, OracleEvent, RunResult, VmError
 
-IN_BOUNDS = "IN_BOUNDS"
-IN_PADDING = "IN_PADDING"
-OOB = "OOB"
 INVALID_ESCAPE = "INVALID_ESCAPE"
-
-
-def classify(addr: int, size: int, rec) -> str:
-    """Exact classification of an access against one allocation record."""
-    if rec is None:
-        return OOB
-    if rec.sa <= addr and addr + size <= rec.ea:
-        return IN_BOUNDS
-    if rec.sa <= addr and addr + size <= rec.ea + rec.q:
-        return IN_PADDING
-    return OOB
 
 
 def default_allowance(vm: VM, event: OracleEvent) -> bool:
@@ -50,9 +36,8 @@ def default_allowance(vm: VM, event: OracleEvent) -> bool:
             and rec.aligned_size is not None):
         # The XOR predicate passes anything inside the aligned block whose
         # end address stays below the block boundary.
-        if (rec.sa <= event.addr
-                and event.addr + event.size <= rec.sa + rec.aligned_size - 1):
-            return True
+        block = replace(rec, ea=rec.sa + rec.aligned_size - 1)
+        return classify(event.addr, event.size, block) == IN_BOUNDS
     return False
 
 
@@ -142,7 +127,3 @@ def verdict_summary(verdicts: list[Verdict]) -> dict:
                               and v.checks.exit_code != 0),
     }
     return out
-
-
-def dump_summary(verdicts: list[Verdict]) -> str:
-    return json.dumps(verdict_summary(verdicts), indent=2)

@@ -4,7 +4,10 @@ Two check backends share the execution engine: 'checks' runs the sandbox
 predicates exactly as instrumented (honoring elisions, lower-bound drops,
 and hoisted sites), while 'oracle' classifies every access and escape
 against the exact allocation records, consulting an allowance callback for
-divergences the instrumentation admits by design.
+divergences the instrumentation admits by design.  The oracle finds a
+record through the heap's one index (`SimMemory.record_at`), which returns
+the newest record covering an address: stack addresses are reused once a
+frame is popped, and a dead frame's record must not shadow a live one.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from .checks import CheckStats, Reason, access_check, escape_check
-from .heap import AllocError, FreeError, SimMemory
+from .heap import IN_BOUNDS, AllocError, FreeError, SimMemory, classify
 from .instrument import InstrumentedProgram
 from .tagging import MASK64
 
@@ -22,10 +25,13 @@ EXIT_BOUNDS = 2
 EXIT_ESCAPE = 3
 
 DEFAULT_STEP_LIMIT = 2_000_000
+# Nested guest calls; each costs two Python frames, so this stays well below
+# Python's default recursion limit of 1000.
+MAX_CALL_DEPTH = 200
 
 
 class VmError(Exception):
-    """Sandbox-level failure (bad extern call, step limit, allocator error)."""
+    """Sandbox failure (bad extern call, step/depth limit, allocator error)."""
 
 
 @dataclass
@@ -115,6 +121,13 @@ class VM:
         self.tracing = trace
         self.step_limit = step_limit
         self.allowed_events: list[OracleEvent] = []
+        # Each backend attaches its sites to instructions in its own table.
+        # The handler is kept unbound: a bound method stored on the VM would
+        # form a cycle that keeps every finished VM alive until a GC pass.
+        cls = type(self)
+        self._site_table, self._site_handler = (
+            (iprog.sites_by_instr, cls._check_sites) if backend == "checks"
+            else (iprog.sites_by_origin, cls._oracle_sites))
 
     # -------------------------------------------------------------- top level
 
@@ -123,6 +136,7 @@ class VM:
         self.mem = SimMemory(self.mode)
         self.stats = CheckStats()
         self.steps = 0
+        self.depth = 0
         self.trace_lines: list[str] = []
         self.allowed_events = []
         self.genv = {}
@@ -157,6 +171,7 @@ class VM:
         env = {name: arg for (name, _ty), arg in zip(fn.params, args)}
         mark = self.mem.stack_mark()
         blockmap = fn.blockmap()
+        site_table, run_sites = self._site_table, self._site_handler
         block = fn.entry
         prev_label = None
         while True:
@@ -179,7 +194,9 @@ class VM:
                 self.steps += 1
                 if self.steps > self.step_limit:
                     raise VmError("step limit exceeded")
-                self._run_sites(instr, env, info)
+                sites = site_table.get(id(instr))
+                if sites:
+                    run_sites(self, sites, instr, env)
                 op = instr.op
                 if op == "br":
                     prev_label = block.label
@@ -268,9 +285,14 @@ class VM:
                 raise VmError(str(exc)) from exc
             return None
         if op == "call":
+            if self.depth >= MAX_CALL_DEPTH:
+                raise VmError(f"call depth limit {MAX_CALL_DEPTH} exceeded")
             callee = self.program.functions[instr.callee]
             args = [self._val(v, env) for v in instr.operands]
-            return self._call(callee, args)
+            self.depth += 1
+            ret = self._call(callee, args)
+            self.depth -= 1
+            return ret
         if op == "extern":
             return self._extern(instr, env, info)
         raise VmError(f"cannot execute op {op!r}")  # pragma: no cover
@@ -301,8 +323,8 @@ class VM:
             return 0
         for ptr in (dst, src):
             raw = self.mode.strip(ptr)
-            rec = self._live_record(raw)
-            if rec is None or raw + length > rec.ea:
+            rec = self.mem.record_at(raw)
+            if classify(raw, length, rec) != IN_BOUNDS or not rec.live:
                 raise _Abort(ViolationReport(
                     exit_code=EXIT_BOUNDS, reason=Reason.UPPER_BOUND.value,
                     kind="boundary", sid=None, fn=instr.callee,
@@ -311,35 +333,16 @@ class VM:
         self.mem.write(self.mode.strip(dst), data)
         return 0
 
-    def _live_record(self, raw: int):
-        for rec in self.mem.records:
-            if rec.live and rec.sa <= raw <= rec.ea:
-                return rec
-        return None
-
     # ------------------------------------------------------------ check sites
 
-    def _run_sites(self, instr, env, info) -> None:
-        if self.backend == "checks":
-            sites = self.iprog.sites_by_instr.get(id(instr))
-            if not sites:
-                return
-            for site in sites:
-                if site.kind == "Escape":
-                    self._check_escape(site, env)
-                elif site.kind == "LoopHoisted":
-                    self._check_hoisted(site, env)
-                elif site.executes:
-                    self._check_access(site, instr, env)
-        else:
-            sites = self.iprog.sites_by_origin.get(id(instr))
-            if not sites:
-                return
-            for site in sites:
-                if site.kind == "Escape":
-                    self._oracle_escape(site, env)
-                else:
-                    self._oracle_access(site, env)
+    def _check_sites(self, sites, instr, env) -> None:
+        for site in sites:
+            if site.kind == "Escape":
+                self._check_escape(site, env)
+            elif site.kind == "LoopHoisted":
+                self._check_hoisted(site, env)
+            elif site.executes:
+                self._check_access(site, instr, env)
 
     def _abort(self, site, outcome, ptr, ksa_raw):
         reason = outcome.reason
@@ -410,26 +413,22 @@ class VM:
 
     # --------------------------------------------------------- oracle backend
 
-    def _spatial_record(self, raw: int):
-        # Reservations are never reused, so containment stays unambiguous
-        # even for freed records (the sandbox does not model temporal bugs).
-        for rec in self.mem.records:
-            if rec.sa <= raw <= rec.ea:
-                return rec
-        return None
+    def _oracle_sites(self, sites, instr, env) -> None:
+        for site in sites:
+            if site.kind == "Escape":
+                self._oracle_escape(site, env)
+            else:
+                self._oracle_access(site, env)
 
     def _oracle_access(self, site, env) -> None:
         ksa_raw = self.mode.strip(self._val(site.ksa, env))
         addr = self.mode.strip(self._val(site.origin.operands[0], env))
         size = site.origin.size
-        rec = self._spatial_record(ksa_raw)
-        if rec is not None and rec.sa <= addr and addr + size <= rec.ea:
+        # Dead records still count: the sandbox does not model temporal bugs.
+        rec = self.mem.record_at(ksa_raw)
+        cls = classify(addr, size, rec)
+        if cls == IN_BOUNDS:
             return
-        if (rec is not None and rec.sa <= addr
-                and addr + size <= rec.ea + rec.q):
-            cls = "IN_PADDING"
-        else:
-            cls = "OOB"
         event = OracleEvent(cls=cls, site=site, addr=addr, size=size,
                             record=rec)
         if self.allowance is not None and self.allowance(self, event):
@@ -449,8 +448,8 @@ class VM:
         if raw == 0:
             return  # storing null is always legitimate
         ksa_raw = self.mode.strip(self._val(site.ksa, env))
-        rec = self._spatial_record(ksa_raw)
-        if rec is not None and rec.sa <= raw <= rec.ea:
+        rec = self.mem.record_at(ksa_raw)
+        if classify(raw, 0, rec) == IN_BOUNDS:
             return
         event = OracleEvent(cls="INVALID_ESCAPE", site=site, addr=raw,
                             size=0, record=rec)

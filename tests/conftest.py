@@ -13,6 +13,28 @@ from prismbox.tagging import Mode
 from prismbox.vm import VM
 
 
+# @main(n) recurses n calls deep and returns n.
+RECURSIVE_PIR = """
+fn @f(%n: int) {
+^entry:
+  %z = icmp eq %n, 0
+  condbr %z, ^base, ^rec
+^base:
+  ret 0
+^rec:
+  %m = sub %n, 1
+  %r = call @f(%m)
+  %s = add %r, 1
+  ret %s
+}
+fn @main(%n: int) {
+^entry:
+  %r = call @f(%n)
+  ret %r
+}
+"""
+
+
 def corpus_text(name: str) -> str:
     root = importlib.resources.files("prismbox") / "corpus"
     return (root / name).read_text()

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import corpus_text
+from conftest import RECURSIVE_PIR, corpus_text
 from prismbox.cli import load_corpus, main, run_corpus_case
 
 
@@ -148,3 +148,10 @@ class TestFuzz:
                      "8", "--config", "one_oob"]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["ok"] == 10
+
+
+def test_deep_recursion_exits_1_without_traceback(pir, capsys):
+    path = pir("rec.pir", RECURSIVE_PIR)
+    assert main(["run", path, "2000"]) == 1
+    err = capsys.readouterr().err
+    assert "call depth" in err and "Traceback" not in err

@@ -276,3 +276,32 @@ def test_no_overlap_mixed_workload(kind, q):
         rec = m.record_for_sa(m.mode.strip(t))
         if rec is not None:
             assert rec.ea - rec.sa == rec.request_size
+
+
+class TestRecordIndex:
+    def test_reused_stack_address_finds_the_new_record(self):
+        m = mem()
+        mark = m.stack_mark()
+        big = m.alloc_stack_escaped(64)
+        m.release_stack(mark)
+        small = m.alloc_stack_escaped(16)
+        assert strip_tag(small) == strip_tag(big)
+        rec = m.record_at(strip_tag(small))
+        assert rec is m.records[-1] and rec.live and rec.request_size == 16
+        assert m.record_for_sa(strip_tag(small)) is rec
+
+    def test_uncovered_parts_of_a_dead_record_stay_visible(self):
+        m = mem()
+        mark = m.stack_mark()
+        m.alloc_stack_dynamic(64)
+        m.release_stack(mark)
+        dead = m.records[-1]
+        m.alloc_stack_dynamic(8)
+        m.alloc_stack_dynamic(8)
+        first, second = m.records[-2:]
+        assert second.sa > first.ea + 1 and second.ea < dead.ea
+        assert m.record_at(first.sa) is first
+        assert m.record_at(first.ea + 1) is dead
+        assert m.record_at(second.ea) is second
+        assert m.record_at(second.ea + 1) is dead
+        assert m.record_at(dead.ea + 1) is None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import corpus_text
+from conftest import RECURSIVE_PIR, corpus_text
 from prismbox import fuzz
 from prismbox.heap import SimMemory
 from prismbox.instrument import ELIDED_Q, instrument
@@ -136,3 +136,68 @@ class TestCampaign:
             fz.differential = orig
         assert summary["mismatches"]
         assert list(tmp_path.glob("*.pir"))
+
+
+# Two calls in a row place their stack objects at the same address, so the
+# oracle must judge the second call's object against its own record.
+BIG_THEN_SMALL = """
+fn @big() {
+^entry:
+  %b = stackalloc 64
+  store %b, 1, 1
+  ret 0
+}
+fn @small(%i: int) {
+^entry:
+  %b = stackalloc 16
+  %p = gep %b, %i*1
+  store %p, 1, 7
+  ret 0
+}
+fn @main(%i: int) {
+^entry:
+  %x = call @big()
+  %y = call @small(%i)
+  ret 0
+}
+"""
+
+SMALL_THEN_BIG = """
+fn @small() {
+^entry:
+  %b = stackalloc 16
+  store %b, 1, 1
+  ret 0
+}
+fn @big(%i: int) {
+^entry:
+  %b = stackalloc 64
+  %p = gep %b, %i*1
+  store %p, 1, 7
+  ret 0
+}
+fn @main(%i: int) {
+^entry:
+  %x = call @small()
+  %y = call @big(%i)
+  ret 0
+}
+"""
+
+
+class TestStackReuse:
+    @pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+    def test_overflow_after_bigger_dead_frame_is_caught(self, kind):
+        v = differential(BIG_THEN_SMALL, Mode(kind, 0), [20])
+        assert v.ok, v.reason
+
+    @pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+    def test_in_bounds_after_smaller_dead_frame_passes(self, kind):
+        v = differential(SMALL_THEN_BIG, Mode(kind, 0), [40])
+        assert v.ok, v.reason
+        assert v.oracle.exit_code == 0
+
+
+def test_deep_recursion_is_a_vm_error_in_both_runs():
+    v = differential(RECURSIVE_PIR, Mode("prism", 0), [2000])
+    assert (v.ok, v.reason) == (True, "both-vm-error")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import corpus_text, run_text
+from conftest import RECURSIVE_PIR, corpus_text, run_text
 from prismbox.vm import VM, EXIT_BOUNDS, EXIT_ESCAPE, EXIT_OK, VmError
 
 
@@ -324,3 +324,14 @@ fn @main() {
 }
 """)
     assert bad.exit_code == EXIT_BOUNDS
+
+
+class TestCallDepth:
+    def test_moderate_recursion_returns(self):
+        res, _, _ = run_text(RECURSIVE_PIR, inputs=[100])
+        assert (res.exit_code, res.ret) == (EXIT_OK, 100)
+
+    @pytest.mark.parametrize("backend", ["checks", "oracle"])
+    def test_deep_recursion_raises_vm_error(self, backend):
+        with pytest.raises(VmError, match="call depth"):
+            run_text(RECURSIVE_PIR, inputs=[2000], backend=backend)
