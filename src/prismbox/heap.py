@@ -9,14 +9,16 @@ a SimFault, i.e. a sandbox bug rather than a guest-program bug.
 
 Stack addresses are reused: popping a frame rewinds the stack pointer, so
 a later frame's objects can cover a dead frame's records.  Every record
-lookup therefore goes through one index over record start addresses
-(`SimMemory.record_at`), which answers with the newest record covering an
-address.
+lookup therefore goes through one index over record bounds
+(`SimMemory.record_at`).  By address alone it answers with the newest
+record covering an address; given the tagged pointer, it answers with the
+newest covering record that carries the pointer's tag, so a dangling
+pointer into a popped frame still finds its own record.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .tagging import (
@@ -80,16 +82,19 @@ IN_PADDING = "IN_PADDING"
 OOB = "OOB"
 
 
-def classify(addr: int, size: int, rec: AllocationRecord | None) -> str:
+def classify(addr: int, size: int, rec: AllocationRecord | None,
+             end: int | None = None) -> str:
     """Exact classification of an access against one allocation record.
 
     An escaping pointer is a zero-size access: it may point at EA itself.
+    `end` replaces rec.ea as the upper bound (pow2 block slack).
     """
     if rec is None or addr < rec.sa:
         return OOB
-    if addr + size <= rec.ea:
+    end = rec.ea if end is None else end
+    if addr + size <= end:
         return IN_BOUNDS
-    if addr + size <= rec.ea + rec.q:
+    if addr + size <= end + rec.q:
         return IN_PADDING
     return OOB
 
@@ -115,11 +120,11 @@ class SimMemory:
         self.materialize = materialize
         self.pages: dict[int, bytearray] = {}
         self.records: list[AllocationRecord] = []   # in allocation order
-        # The record index: disjoint closed spans [start, end], sorted by
-        # start, each the visible part of the newest record covering it.
-        self._starts: list[int] = []
-        self._ends: list[int] = []
-        self._owners: list[AllocationRecord] = []
+        # The record index: the sorted addresses at which the set of
+        # covering records changes, and for each the records covering
+        # [bounds[i], bounds[i+1]), newest first and one per tag.
+        self._bounds: list[int] = []
+        self._owners: list[tuple[AllocationRecord, ...]] = []
         # Allocator cursors.
         self._small_frame: int | None = None
         self._small_bump = 0
@@ -328,30 +333,41 @@ class SimMemory:
     # --------------------------------------------------------------- records
 
     def _index(self, rec: AllocationRecord) -> None:
-        """Make rec the owner of [rec.sa, rec.ea] in the record index.
+        """Put rec first among the owners of [rec.sa, rec.ea].
 
-        The records under a new one are those of popped stack frames: their
-        covered parts are evicted, and any parts outside it stay visible.
+        The records under a new one are those of popped stack frames.  Each
+        stays listed under it, unless a newer record has the same tag, so
+        that a dangling pointer into the frame still finds it.
         """
-        sa, ea = rec.sa, rec.ea
-        starts, ends, owners = self._starts, self._ends, self._owners
-        lo = bisect_right(starts, sa)
-        if lo and ends[lo - 1] >= sa:
-            lo -= 1
-        hi = bisect_right(starts, ea, lo)
-        spans = [(sa, ea, rec)]
-        if lo < hi and starts[lo] < sa:
-            spans.insert(0, (starts[lo], sa - 1, owners[lo]))
-        if lo < hi and ends[hi - 1] > ea:
-            spans.append((ea + 1, ends[hi - 1], owners[hi - 1]))
-        starts[lo:hi], ends[lo:hi], owners[lo:hi] = zip(*spans)
+        bounds, owners = self._bounds, self._owners
+        cuts = []
+        for at in (rec.sa, rec.ea + 1):
+            i = bisect_left(bounds, at)
+            if i == len(bounds) or bounds[i] != at:
+                bounds.insert(i, at)
+                owners.insert(i, owners[i - 1] if i else ())
+            cuts.append(i)
+        lo, hi = cuts
+        tag = rec.tagged - rec.sa
+        owners[lo:hi] = [(rec,) + tuple(r for r in below
+                                        if r.tagged - r.sa != tag)
+                         for below in owners[lo:hi]]
 
-    def record_at(self, raw: int) -> AllocationRecord | None:
-        """The newest record, live or dead, whose [sa, ea] holds raw."""
-        i = bisect_right(self._starts, raw) - 1
-        if i >= 0 and raw <= self._ends[i]:
-            return self._owners[i]
-        return None
+    def record_at(self, raw: int,
+                  tagged: int | None = None) -> AllocationRecord | None:
+        """The newest record, live or dead, whose [sa, ea] holds raw.
+
+        Given `tagged`, the pointer raw was stripped from, the newest such
+        record with the pointer's tag wins: a dangling pointer belongs to
+        its own record, not to a newer object at the same address.
+        """
+        i = bisect_right(self._bounds, raw) - 1
+        owners = self._owners[i] if i >= 0 else ()
+        if tagged is not None:
+            for rec in owners:
+                if rec.tagged - rec.sa == tagged - raw:
+                    return rec
+        return owners[0] if owners else None
 
     def record_for_sa(self, sa: int) -> AllocationRecord | None:
         """The live record that starts at sa."""

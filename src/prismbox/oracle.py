@@ -10,7 +10,7 @@ value is a sandbox bug.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .heap import IN_BOUNDS, IN_PADDING, OOB, classify  # noqa: F401
 from .instrument import ELIDED_Q, InstrumentedProgram, instrument
@@ -36,8 +36,8 @@ def default_allowance(vm: VM, event: OracleEvent) -> bool:
             and rec.aligned_size is not None):
         # The XOR predicate passes anything inside the aligned block whose
         # end address stays below the block boundary.
-        block = replace(rec, ea=rec.sa + rec.aligned_size - 1)
-        return classify(event.addr, event.size, block) == IN_BOUNDS
+        return classify(event.addr, event.size, rec,
+                        end=rec.sa + rec.aligned_size - 1) == IN_BOUNDS
     return False
 
 

@@ -5,9 +5,9 @@ predicates exactly as instrumented (honoring elisions, lower-bound drops,
 and hoisted sites), while 'oracle' classifies every access and escape
 against the exact allocation records, consulting an allowance callback for
 divergences the instrumentation admits by design.  The oracle finds a
-record through the heap's one index (`SimMemory.record_at`), which returns
-the newest record covering an address: stack addresses are reused once a
-frame is popped, and a dead frame's record must not shadow a live one.
+record through the heap's one index (`SimMemory.record_at`), keyed by the
+tagged KSA: stack addresses are reused once a frame is popped, so the
+address alone cannot tell a live object from a dead one at the same place.
 """
 
 from __future__ import annotations
@@ -339,8 +339,6 @@ class VM:
         for site in sites:
             if site.kind == "Escape":
                 self._check_escape(site, env)
-            elif site.kind == "LoopHoisted":
-                self._check_hoisted(site, env)
             elif site.executes:
                 self._check_access(site, instr, env)
 
@@ -363,29 +361,22 @@ class VM:
 
     def _check_access(self, site, instr, env) -> None:
         ksa = self._val(site.ksa, env)
-        ptr = self.mode.strip(self._val(instr.operands[0], env))
         size = site.size
-        if site.widened:
-            # Combined check: re-anchor the pointer at the merged window's
-            # low edge and check the whole hull at once.
+        if site.kind == "LoopHoisted":
+            # One check of the loop's whole window, from the KSA.
             lo, hi = site.window
-            ptr = ptr - site.base_offset + lo
-            size = hi - lo
+            ptr, size = (self.mode.strip(ksa) + lo) & MASK64, hi - lo
+        else:
+            ptr = self.mode.strip(self._val(instr.operands[0], env))
+            if site.widened:
+                # Combined check: re-anchor the pointer at the merged
+                # window's low edge and check the whole hull at once.
+                lo, hi = site.window
+                ptr, size = ptr - site.base_offset + lo, hi - lo
         skip_lower = site.status == "LowerBoundDropped"
         outcome = access_check(self.mode, ksa, ptr, size, self.mem,
                                self.stats, skip_lower=skip_lower)
         self._trace(site, ptr, size, outcome)
-        if not outcome.ok:
-            self._abort(site, outcome, ptr, self.mode.strip(ksa))
-
-    def _check_hoisted(self, site, env) -> None:
-        ksa = self._val(site.ksa, env)
-        lo, hi = site.window
-        ptr = (self.mode.strip(ksa) + lo) & MASK64
-        skip_lower = site.status == "LowerBoundDropped"
-        outcome = access_check(self.mode, ksa, ptr, hi - lo, self.mem,
-                               self.stats, skip_lower=skip_lower)
-        self._trace(site, ptr, hi - lo, outcome)
         if not outcome.ok:
             self._abort(site, outcome, ptr, self.mode.strip(ksa))
 
@@ -415,48 +406,37 @@ class VM:
 
     def _oracle_sites(self, sites, instr, env) -> None:
         for site in sites:
-            if site.kind == "Escape":
-                self._oracle_escape(site, env)
-            else:
-                self._oracle_access(site, env)
+            if site.kind != "Escape":
+                ksa = self._val(site.ksa, env)
+                addr = self.mode.strip(self._val(site.origin.operands[0], env))
+                self._oracle_check(site, ksa, addr, site.origin.size)
+            elif not site.statically_aliased:
+                raw = self.mode.strip(self._val(site.escape_value, env))
+                if raw:  # storing null is always legitimate
+                    self._oracle_check(site, self._val(site.ksa, env), raw, 0)
 
-    def _oracle_access(self, site, env) -> None:
-        ksa_raw = self.mode.strip(self._val(site.ksa, env))
-        addr = self.mode.strip(self._val(site.origin.operands[0], env))
-        size = site.origin.size
+    def _oracle_check(self, site, ksa, addr, size) -> None:
+        """Classify one access, or one escaping pointer, against the record
+        the KSA belongs to."""
+        ksa_raw = self.mode.strip(ksa)
         # Dead records still count: the sandbox does not model temporal bugs.
-        rec = self.mem.record_at(ksa_raw)
+        rec = self.mem.record_at(ksa_raw, ksa)
         cls = classify(addr, size, rec)
         if cls == IN_BOUNDS:
             return
-        event = OracleEvent(cls=cls, site=site, addr=addr, size=size,
-                            record=rec)
+        escape = site.kind == "Escape"
+        event = OracleEvent(cls="INVALID_ESCAPE" if escape else cls,
+                            site=site, addr=addr, size=size, record=rec)
         if self.allowance is not None and self.allowance(self, event):
             self.allowed_events.append(event)
             return
-        reason = (Reason.LOWER_BOUND if rec is not None and addr < rec.sa
-                  else Reason.UPPER_BOUND)
+        if escape:
+            code, reason = EXIT_ESCAPE, Reason.ESCAPE_INVARIANT
+        elif rec is not None and addr < rec.sa:
+            code, reason = EXIT_BOUNDS, Reason.LOWER_BOUND
+        else:
+            code, reason = EXIT_BOUNDS, Reason.UPPER_BOUND
         raise _Abort(ViolationReport(
-            exit_code=EXIT_BOUNDS, reason=reason.value, kind="Access",
-            sid=site.sid, fn=site.fn, line=site.origin.line, ksa=ksa_raw,
-            ptr=addr, size=size))
-
-    def _oracle_escape(self, site, env) -> None:
-        if site.statically_aliased:
-            return
-        raw = self.mode.strip(self._val(site.escape_value, env))
-        if raw == 0:
-            return  # storing null is always legitimate
-        ksa_raw = self.mode.strip(self._val(site.ksa, env))
-        rec = self.mem.record_at(ksa_raw)
-        if classify(raw, 0, rec) == IN_BOUNDS:
-            return
-        event = OracleEvent(cls="INVALID_ESCAPE", site=site, addr=raw,
-                            size=0, record=rec)
-        if self.allowance is not None and self.allowance(self, event):
-            self.allowed_events.append(event)
-            return
-        raise _Abort(ViolationReport(
-            exit_code=EXIT_ESCAPE, reason=Reason.ESCAPE_INVARIANT.value,
-            kind="Escape", sid=site.sid, fn=site.fn, line=site.origin.line,
-            ksa=ksa_raw, ptr=raw, size=0))
+            exit_code=code, reason=reason.value,
+            kind="Escape" if escape else "Access", sid=site.sid, fn=site.fn,
+            line=site.origin.line, ksa=ksa_raw, ptr=addr, size=size))

@@ -290,6 +290,20 @@ class TestRecordIndex:
         assert rec is m.records[-1] and rec.live and rec.request_size == 16
         assert m.record_for_sa(strip_tag(small)) is rec
 
+    def test_dangling_pointer_finds_its_own_record(self):
+        m = mem()
+        mark = m.stack_mark()
+        big = m.alloc_stack_escaped(64)
+        m.release_stack(mark)
+        small = m.alloc_stack_escaped(16)
+        dead, new = m.records[-2:]
+        raw = strip_tag(big)
+        assert m.record_at(raw, big) is dead
+        assert m.record_at(raw + 8, big + 8) is dead
+        assert m.record_at(raw + 8, small + 8) is new
+        assert m.record_at(raw + 8) is new
+        assert m.record_at(raw + 20, big + 20) is dead
+
     def test_uncovered_parts_of_a_dead_record_stay_visible(self):
         m = mem()
         mark = m.stack_mark()

@@ -197,6 +197,49 @@ class TestStackReuse:
         assert v.ok, v.reason
         assert v.oracle.exit_code == 0
 
+    # @mk returns a pointer to its stack object (or OFFSET bytes into it);
+    # @other then reuses that address for an object of another size.  The
+    # pointer's tag still names @mk's object, and so must the oracle.
+    @pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+    @pytest.mark.parametrize("mk_size,other_size,offset,index,prism_exit", [
+        (64, 16, 0, 20, 0),
+        (16, 64, 0, 20, 2),
+        (64, 16, 8, 12, 0),
+        (16, 64, 8, 12, 2),
+    ])
+    def test_dangling_pointer_is_judged_by_its_own_object(
+            self, kind, mk_size, other_size, offset, index, prism_exit):
+        text = USE_AFTER_RETURN.format(mk_size=mk_size, other_size=other_size,
+                                       offset=offset)
+        v = differential(text, Mode(kind, 0), [index])
+        assert v.ok, v.reason
+        if kind == "prism":
+            assert v.checks.exit_code == prism_exit
+
+
+USE_AFTER_RETURN = """
+fn @mk() {{
+^entry:
+  %b = stackalloc {mk_size}
+  %c = gep %b, {offset}
+  ret %c
+}}
+fn @other() {{
+^entry:
+  %b = stackalloc {other_size}
+  store %b, 1, 1
+  ret 0
+}}
+fn @main(%i: int) {{
+^entry:
+  %p = call @mk()
+  %y = call @other()
+  %q = gep %p, %i*1
+  store %q, 1, 7
+  ret 0
+}}
+"""
+
 
 def test_deep_recursion_is_a_vm_error_in_both_runs():
     v = differential(RECURSIVE_PIR, Mode("prism", 0), [2000])
