@@ -1,4 +1,9 @@
-"""CFG utilities: dominators, postdominators, and natural-loop discovery."""
+"""CFG utilities: dominators, postdominators, and natural-loop discovery.
+
+Each function's CFG is built once, during validation.  Instrumentation adds
+instructions but never a block or an edge, so it keeps that `CfgInfo` and
+only refreshes the instruction positions afterwards.
+"""
 
 from __future__ import annotations
 
@@ -28,7 +33,9 @@ def predecessors(succ: dict[str, list[str]]) -> dict[str, list[str]]:
 def _dominator_sets(succ: dict[str, list[str]], entry: str) -> dict[str, set]:
     pred = predecessors(succ)
     order = _reverse_postorder(succ, entry)
-    dom = {label: set(order) for label in order}
+    # None stands for "every block" until a label's first visit, so a long
+    # CFG does not start from one full set per block.
+    dom = dict.fromkeys(order)
     dom[entry] = {entry}
     changed = True
     while changed:
@@ -36,8 +43,8 @@ def _dominator_sets(succ: dict[str, list[str]], entry: str) -> dict[str, set]:
         for label in order:
             if label == entry:
                 continue
-            preds = [p for p in pred[label] if p in dom]
-            new = set.intersection(*(dom[p] for p in preds)) if preds else set()
+            preds = [dom[p] for p in pred[label] if dom.get(p) is not None]
+            new = set.intersection(*preds) if preds else set()
             new.add(label)
             if new != dom[label]:
                 dom[label] = new
@@ -46,18 +53,21 @@ def _dominator_sets(succ: dict[str, list[str]], entry: str) -> dict[str, set]:
 
 
 def _reverse_postorder(succ: dict[str, list[str]], entry: str) -> list[str]:
-    seen, out = set(), []
-
-    def visit(label):
-        if label in seen:
-            return
-        seen.add(label)
-        for nxt in succ.get(label, ()):
-            visit(nxt)
-        out.append(label)
-
-    visit(entry)
-    return list(reversed(out))
+    # Depth-first on an explicit stack: a guest CFG may be thousands deep.
+    seen, out = {entry}, []
+    stack = [(entry, iter(succ.get(entry, ())))]
+    while stack:
+        label, nexts = stack[-1]
+        for nxt in nexts:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append((nxt, iter(succ.get(nxt, ()))))
+                break
+        else:
+            stack.pop()
+            out.append(label)
+    out.reverse()
+    return out
 
 
 @dataclass
@@ -78,11 +88,15 @@ class CfgInfo:
         self.dom = _dominator_sets(self.succ, fn.entry.label)
         self.postdom = self._postdominators()
         self.reachable = set(self.dom)
+        self.refresh_positions()
+        self.loops = self._find_loops()
+
+    def refresh_positions(self) -> None:
+        """Re-index instruction positions after instructions were inserted."""
         self._pos: dict[int, tuple[str, int]] = {}
-        for block in fn.blocks:
+        for block in self.fn.blocks:
             for idx, instr in enumerate(block.instrs):
                 self._pos[id(instr)] = (block.label, idx)
-        self.loops = self._find_loops()
 
     def _postdominators(self) -> dict[str, set]:
         rsucc = {label: [] for label in self.succ}
@@ -107,9 +121,6 @@ class CfgInfo:
         if ablock == bblock:
             return aidx < bidx
         return ablock in self.dom.get(bblock, ())
-
-    def block_dominates(self, a: str, b: str) -> bool:
-        return a in self.dom.get(b, ())
 
     def postdominates(self, a: Instr, b: Instr) -> bool:
         """Does instruction a postdominate instruction b?"""

@@ -51,7 +51,6 @@ class CheckSite:
     widened: bool = False        # window grew past the origin's own footprint
     base_offset: int = 0         # origin's c1 before widening (re-anchoring)
     escape_value: object = None
-    statically_aliased: bool = False
     maybe_equal: bool = False
 
     @property
@@ -134,7 +133,9 @@ def instrument(program: Program, mode: Mode,
         mask_counts[fn.name] = worker.mask_count
         ksa_maps[fn.name] = dict(worker.ksa)
     program.renumber()
-    cfgs = {name: CfgInfo(fn) for name, fn in program.functions.items()}
+    for info in infos.values():
+        info.cfg.refresh_positions()
+    cfgs = {name: info.cfg for name, info in infos.items()}
     iprog = InstrumentedProgram(program=program, mode=mode, opts=tuple(opts),
                                 sites=sites, infos=infos, cfgs=cfgs,
                                 mask_counts=mask_counts, ksa_maps=ksa_maps)
@@ -153,6 +154,45 @@ def instrument(program: Program, mode: Mode,
 def instrument_text(text: str, mode: Mode,
                     opts: tuple = ALL_OPTS) -> InstrumentedProgram:
     return instrument(parse(text), mode, opts)
+
+
+def _drive(call):
+    """Run a generator-coded recursion on an explicit stack.
+
+    The generator yields a generator for each nested call and is sent back
+    that call's result, so a long chain of guest values costs heap, not
+    Python frames.
+    """
+    stack, result = [call], None
+    while stack:
+        try:
+            nested = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(nested)
+            result = None
+    return result
+
+
+def offset_shape(defs: dict, v):
+    """(anchor, const, terms) of v's byte offset walked back through geps."""
+    const = 0
+    terms: dict = {}
+    while isinstance(v, str):
+        d = defs.get(v)
+        if d is None or d == "param" or d.op != "gep":
+            break
+        const += d.gep_const
+        for idx, scale in d.gep_terms:
+            if isinstance(idx, str):
+                terms[idx] = terms.get(idx, 0) + scale
+            else:
+                const += idx * scale
+        v = d.operands[0]
+    terms = {k: s for k, s in terms.items() if s}
+    return v, const, tuple(sorted(terms.items()))
 
 
 class _FnInstrumenter:
@@ -198,10 +238,6 @@ class _FnInstrumenter:
         block.instrs.insert(idx, new)
         self.info.defs[new.dest] = new
 
-    def _insert_entry(self, new: Instr) -> None:
-        self._insert_at_phi_head(self.fn.entry, new)
-        self.info.defs[new.dest] = new
-
     # ------------------------------------------------------------------ KSA
 
     def compute_ksa_all(self) -> None:
@@ -214,6 +250,9 @@ class _FnInstrumenter:
 
     def ksa_of(self, v):
         """Roll pointer arithmetic back to the value's provenance root."""
+        return _drive(self._ksa(v))
+
+    def _ksa(self, v):
         if not isinstance(v, str):
             return v
         if v in self.ksa:
@@ -223,7 +262,7 @@ class _FnInstrumenter:
             self.ksa[v] = v
             return v
         if d.op in ("gep", "mask"):
-            result = self.ksa_of(d.operands[0])
+            result = yield self._ksa(d.operands[0])
             self.ksa[v] = result
             return result
         if d.op == "phi":
@@ -231,8 +270,10 @@ class _FnInstrumenter:
             mirror = Instr(op="phi", dest=name, line=d.line)
             self.ksa[v] = name  # break cycles before filling operands
             self._insert_at_phi_head(self._block_of(d), mirror)
-            mirror.incomings = [(self.ksa_of(op), lbl)
-                                for op, lbl in d.incomings]
+            incomings = []
+            for op, lbl in d.incomings:
+                incomings.append(((yield self._ksa(op)), lbl))
+            mirror.incomings = incomings
             return name
         if d.op == "select":
             name = self._fresh(f"{v}.ksa")
@@ -240,8 +281,8 @@ class _FnInstrumenter:
             self.ksa[v] = name
             self._insert_after(d, mirror)
             mirror.operands = [d.operands[0],
-                               self.ksa_of(d.operands[1]),
-                               self.ksa_of(d.operands[2])]
+                               (yield self._ksa(d.operands[1])),
+                               (yield self._ksa(d.operands[2]))]
             return name
         # Non-pointer producing op ended up here; treat as its own root.
         self.ksa[v] = v
@@ -256,9 +297,7 @@ class _FnInstrumenter:
         return self._self_ksa.get(v, False)
 
     def _compute_self_ksa(self) -> None:
-        flags: dict = {}
-        for v in self.info.provenance:
-            flags[v] = True
+        flags = dict.fromkeys(self.info.provenance, True)
         changed = True
         while changed:
             changed = False
@@ -266,10 +305,7 @@ class _FnInstrumenter:
                 if not flags[v]:
                     continue
                 d = self._def(v)
-                ok = True
-                if d is None or d == "param":
-                    ok = True
-                elif d.op in KSA_ROOT_OPS:
+                if d is None or d == "param" or d.op in KSA_ROOT_OPS:
                     ok = True
                 elif d.op == "gep":
                     base = d.operands[0]
@@ -305,27 +341,9 @@ class _FnInstrumenter:
                 return v
         return v
 
-    def offset_shape(self, v):
-        """(anchor, const, terms) of v's byte offset walked back through geps."""
-        const = 0
-        terms: dict = {}
-        while isinstance(v, str):
-            d = self._def(v)
-            if d is None or d == "param" or d.op != "gep":
-                break
-            const += d.gep_const
-            for idx, scale in d.gep_terms:
-                if isinstance(idx, str):
-                    terms[idx] = terms.get(idx, 0) + scale
-                else:
-                    const += idx * scale
-            v = d.operands[0]
-        terms = {k: s for k, s in terms.items() if s}
-        return v, const, tuple(sorted(terms.items()))
-
     def window_of(self, ptr, size: int):
         """Constant window (c1, c2) relative to the KSA, or (None, var_key)."""
-        anchor, const, terms = self.offset_shape(ptr)
+        anchor, const, terms = offset_shape(self.info.defs, ptr)
         if not self.self_ksa(anchor):
             return None, None
         if not terms:
@@ -391,6 +409,9 @@ class _FnInstrumenter:
 
     def reset(self, v):
         """Masked clone of the address chain computing v; memoized per KSA."""
+        return _drive(self._reset(v))
+
+    def _reset(self, v):
         if not isinstance(v, str):
             return v
         if v in self.reset_map:
@@ -400,7 +421,7 @@ class _FnInstrumenter:
             name = self._fresh(f"{v}.m")
             mask = Instr(op="mask", dest=name, operands=[v])
             if d in ("param", None):
-                self._insert_entry(mask)
+                self._insert_at_phi_head(self.fn.entry, mask)
             else:
                 self._insert_after(d, mask)
             self.mask_count += 1
@@ -412,7 +433,7 @@ class _FnInstrumenter:
         if d.op == "gep":
             name = self._fresh(f"{v}.m")
             clone = Instr(op="gep", dest=name,
-                          operands=[self.reset(d.operands[0])],
+                          operands=[(yield self._reset(d.operands[0]))],
                           gep_const=d.gep_const,
                           gep_terms=list(d.gep_terms))
             self._insert_after(d, clone)
@@ -423,7 +444,10 @@ class _FnInstrumenter:
             clone = Instr(op="phi", dest=name)
             self.reset_map[v] = name
             self._insert_at_phi_head(self._block_of(d), clone)
-            clone.incomings = [(self.reset(op), lbl) for op, lbl in d.incomings]
+            incomings = []
+            for op, lbl in d.incomings:
+                incomings.append(((yield self._reset(op)), lbl))
+            clone.incomings = incomings
             return name
         if d.op == "select":
             name = self._fresh(f"{v}.m")
@@ -431,8 +455,8 @@ class _FnInstrumenter:
             self.reset_map[v] = name
             self._insert_after(d, clone)
             clone.operands = [d.operands[0],
-                              self.reset(d.operands[1]),
-                              self.reset(d.operands[2])]
+                              (yield self._reset(d.operands[1])),
+                              (yield self._reset(d.operands[2]))]
             return name
         self.reset_map[v] = v
         return v
@@ -563,7 +587,9 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
                     continue
                 if not _ksa_available(info, cfg, site.ksa, loop):
                     continue
-                anchor, const, _ = _site_offset(iprog, site)
+                # Offset of the checked (already masked) address operand.
+                anchor, const, _ = offset_shape(info.defs,
+                                                site.instr.operands[0])
                 scale = terms[0][1]
                 ends = sorted((scale * start, scale * last))
                 lo = const + ends[0]
@@ -578,13 +604,6 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
                 site.widened = True  # aborts earlier than the covered accesses
                 if "lower" in iprog.opts:
                     _maybe_drop_lower(site)
-
-
-def _site_offset(iprog: InstrumentedProgram, site: CheckSite):
-    info = iprog.infos[site.fn]
-    worker = _FnInstrumenter(info.fn, info, [0])
-    # Offset of the checked (already masked) address operand.
-    return worker.offset_shape(site.instr.operands[0])
 
 
 def _ksa_available(info: FunctionInfo, cfg: CfgInfo, ksa, loop) -> bool:

@@ -40,7 +40,8 @@ class ParseError(Exception):
         self.line = line
 
 
-@dataclass
+# Compared by identity: passes find an instruction in its block's list.
+@dataclass(eq=False)
 class Instr:
     op: str
     dest: str | None = None

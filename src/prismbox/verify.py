@@ -20,7 +20,7 @@ class FunctionInfo:
     fn: Function
     cfg: CfgInfo
     types: dict = field(default_factory=dict)        # value -> 'int'|'ptr'
-    provenance: dict = field(default_factory=dict)   # ptr value -> (origin, base)
+    provenance: set = field(default_factory=set)     # the pointer-typed values
     defs: dict = field(default_factory=dict)         # value -> Instr | 'param'
 
 
@@ -57,7 +57,7 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     _infer_types(program, infos, diags)
     for info in infos.values():
         _check_uses(info, program, infos, diags)
-        _assign_provenance(info)
+        info.provenance = {v for v, ty in info.types.items() if ty == "ptr"}
     return infos, diags
 
 
@@ -157,8 +157,6 @@ def _infer_types(program: Program, infos: dict[str, FunctionInfo],
                 if ty is not None and types.get(instr.dest) != ty:
                     types[instr.dest] = ty
                     changed = True
-                if instr.op == "ret":
-                    continue
             rt = None
             for instr in info.fn.instructions():
                 if instr.op != "ret" or not instr.operands:
@@ -293,37 +291,6 @@ def _check_instr_types(info: FunctionInfo, instr: Instr, program: Program,
             return
         for v, (_pname, pty) in zip(instr.operands, callee.params):
             _expect(info, instr, v, pty, "argument", diags)
-
-
-def _assign_provenance(info: FunctionInfo) -> None:
-    prov = info.provenance
-    for name, ty in info.fn.params:
-        if ty == "ptr":
-            prov[name] = ("param", None)
-    for instr in info.fn.instructions():
-        if instr.dest is None or info.types.get(instr.dest) != "ptr":
-            continue
-        op = instr.op
-        if op in ("alloc", "stackalloc", "alloca_dyn"):
-            prov[instr.dest] = ("alloc", None)
-        elif op == "gaddr":
-            prov[instr.dest] = ("global", instr.callee)
-        elif op in ("loadp", "extern", "call"):
-            prov[instr.dest] = ("loaded", None)
-        elif op == "gep":
-            base = instr.operands[0]
-            prov[instr.dest] = ("derived", base if isinstance(base, str) else None)
-        elif op == "phi":
-            first = next((v for v, _ in instr.incomings if isinstance(v, str)),
-                         None)
-            prov[instr.dest] = ("derived", first)
-        elif op == "select":
-            first = next((v for v in instr.operands[1:] if isinstance(v, str)),
-                         None)
-            prov[instr.dest] = ("derived", first)
-        elif op == "mask":
-            base = instr.operands[0]
-            prov[instr.dest] = ("derived", base if isinstance(base, str) else None)
 
 
 def require_valid(program: Program) -> dict[str, FunctionInfo]:

@@ -394,7 +394,6 @@ class VM:
         value = self._val(site.escape_value, env)
         ksa = self._val(site.ksa, env)
         outcome = escape_check(self.mode, value, ksa, self.mem,
-                               statically_aliased=site.statically_aliased,
                                maybe_equal_at_runtime=site.maybe_equal,
                                stats=self.stats)
         self._trace(site, self.mode.strip(value), 0, outcome)
@@ -410,7 +409,7 @@ class VM:
                 ksa = self._val(site.ksa, env)
                 addr = self.mode.strip(self._val(site.origin.operands[0], env))
                 self._oracle_check(site, ksa, addr, site.origin.size)
-            elif not site.statically_aliased:
+            else:
                 raw = self.mode.strip(self._val(site.escape_value, env))
                 if raw:  # storing null is always legitimate
                     self._oracle_check(site, self._val(site.ksa, env), raw, 0)

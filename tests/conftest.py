@@ -35,6 +35,42 @@ fn @main(%n: int) {
 """
 
 
+# (shape, n) for deep_program; each is deeper than Python's default
+# recursion limit of 1000.
+DEEP_SHAPES = [("gep", 3000), ("select", 3000), ("blocks", 3000),
+               ("reversed_gep", 1500)]
+
+
+def deep_program(shape: str, n: int) -> str:
+    """A valid @main whose pointer chain or CFG is n links deep.
+
+    `gep` and `select` chain n values in one block and load through the
+    last; `blocks` chains n empty blocks; `reversed_gep` puts one gep of the
+    chain in each of n blocks and writes those blocks last link first.
+    """
+    lines = ["fn @main() {", "^entry:", "  %p0 = alloc 8"]
+    if shape in ("gep", "select"):
+        for i in range(1, n + 1):
+            rhs = (f"gep %p{i - 1}, 0" if shape == "gep"
+                   else f"select 1, %p{i - 1}, %p0")
+            lines.append(f"  %p{i} = {rhs}")
+        lines += [f"  %v = load %p{n}, 8", "  ret %v"]
+    elif shape == "blocks":
+        lines.append("  br ^b1")
+        for i in range(1, n + 1):
+            lines += [f"^b{i}:", f"  br ^b{i + 1}"]
+        lines += [f"^b{n + 1}:", "  ret 0"]
+    elif shape == "reversed_gep":
+        lines.append("  br ^b1")
+        for i in range(n, 0, -1):
+            lines += [f"^b{i}:", f"  %p{i} = gep %p{i - 1}, 0"]
+            lines += ([f"  %v = load %p{n}, 8", "  ret %v"] if i == n
+                      else [f"  br ^b{i + 1}"])
+    else:
+        raise ValueError(shape)
+    return "\n".join(lines + ["}", ""])
+
+
 def corpus_text(name: str) -> str:
     root = importlib.resources.files("prismbox") / "corpus"
     return (root / name).read_text()

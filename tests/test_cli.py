@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from conftest import RECURSIVE_PIR, corpus_text
+from conftest import DEEP_SHAPES, RECURSIVE_PIR, corpus_text, deep_program
 from prismbox.cli import load_corpus, main, run_corpus_case
 
 
@@ -155,3 +155,11 @@ def test_deep_recursion_exits_1_without_traceback(pir, capsys):
     assert main(["run", path, "2000"]) == 1
     err = capsys.readouterr().err
     assert "call depth" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("shape,n", DEEP_SHAPES)
+def test_deep_program_runs_without_traceback(pir, capsys, shape, n):
+    path = pir("deep.pir", deep_program(shape, n))
+    assert main(["run", path]) == 0
+    out, err = capsys.readouterr()
+    assert out.strip() == "ret 0" and "Traceback" not in err

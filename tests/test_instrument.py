@@ -2,7 +2,13 @@
 
 import pytest
 
-from conftest import corpus_text, instrument_text
+from conftest import (
+    DEEP_SHAPES,
+    corpus_expectations,
+    corpus_text,
+    deep_program,
+    instrument_text,
+)
 from prismbox import fuzz
 from prismbox.instrument import (
     ACTIVE,
@@ -462,6 +468,19 @@ fn @main(%n: int) {
         assert not [s for s in iprog.sites if s.kind == "LoopHoisted"]
 
 
+class TestDeepPrograms:
+    @pytest.mark.parametrize("shape,n", DEEP_SHAPES)
+    def test_instruments_without_recursion_error(self, shape, n):
+        iprog = instrument_text(deep_program(shape, n))
+        ksa = iprog.ksa_maps["main"]
+        if shape in ("gep", "reversed_gep"):
+            assert ksa[f"p{n}"] == "p0"
+        elif shape == "select":
+            assert ksa[f"p{n}"] == f"p{n}.ksa"
+        assert len(iprog.cfgs["main"].reachable) == len(
+            iprog.program.functions["main"].blocks)
+
+
 class TestPipeline:
     def test_deterministic_site_tables(self):
         text = corpus_text("cost_compare.pir")
@@ -483,6 +502,17 @@ class TestPipeline:
         for kind in ("prism", "pow2", "prism32"):
             iprog = instrument(parse(text), Mode(kind, 8))
             assert build_report(iprog).identity_ok()
+
+    @pytest.mark.parametrize(
+        "name", [case["file"] for case in corpus_expectations()["cases"]])
+    def test_one_cfg_per_function_with_fresh_positions(self, name):
+        iprog = instrument_text(corpus_text(name), q=8)
+        for fn_name, fn in iprog.program.functions.items():
+            cfg = iprog.cfgs[fn_name]
+            assert cfg is iprog.infos[fn_name].cfg
+            for block in fn.blocks:
+                for idx, instr in enumerate(block.instrs):
+                    assert cfg.position(instr) == (block.label, idx)
 
     def test_no_opts_leaves_all_sites_executing(self):
         iprog = instrument_text(corpus_text("cost_compare.pir"), opts=())
