@@ -5,7 +5,8 @@ fixed-slot 4GB frames with pre-padding so the end address is 64KB-aligned.
 Every allocation stores its start address in the 8 bytes at EA+q (except
 pow2 mode, which checks bounds by XOR and never reads SA back).
 Memory is materialized lazily as 64KB pages; touching an unmapped page is
-a SimFault, i.e. a sandbox bug rather than a guest-program bug.
+a SimFault.  A guest can reach one through a pointer with a forged tag,
+so the VM reports it as a VmError.
 
 Stack addresses are reused: popping a frame rewinds the stack pointer, so
 a later frame's objects can cover a dead frame's records.  Every record
@@ -42,7 +43,7 @@ BASE32 = 1 << 30
 
 
 class SimFault(Exception):
-    """Access to unmapped simulated memory; indicates a sandbox bug."""
+    """Access to unmapped simulated memory."""
 
 
 class AllocError(Exception):

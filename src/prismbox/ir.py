@@ -15,6 +15,7 @@ Textual format (.pir), one instruction per line:
       ret %v
     }
 
+`OPS` is the instruction grammar: each op's result type and operands.
 Offsets are byte-granular; there are no first-class struct types.  `null`
 is the untyped zero pointer literal.  `loadp`/`storep` move 8-byte pointer
 values and are the only way a pointer enters or leaves memory.
@@ -24,14 +25,65 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 EXTERN_KINDS = ("copy", "alloc", "pure")
 CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 TERMINATORS = ("br", "condbr", "ret")
-PTR_RESULT_OPS = ("alloc", "stackalloc", "alloca_dyn", "gep", "gaddr",
-                  "loadp", "mask")
-INT_RESULT_OPS = ("load", "icmp", "add", "sub", "mul", "ptrcmp", "ptrsub")
+VALUE_KINDS = ("int", "ptr", "any")
+
+
+class OpSpec(NamedTuple):
+    result: str | None      # 'ptr', 'int', or None: inferred, or no value
+    operands: tuple         # (role, kind) pairs in source order
+    required: int           # how many operands may not be omitted
+    size: int | None        # the access size the op implies
+    values: tuple           # the (role, kind) pairs held in Instr.operands
+
+    def syntax(self) -> str:
+        return ", ".join(f"{role}:{kind}" + "?" * (i >= self.required)
+                         for i, (role, kind) in enumerate(self.operands))
+
+
+def _op(result: str | None, operands: str = "", size: int | None = None):
+    pairs = tuple(tuple(o.rstrip("?").split(":")) for o in operands.split())
+    values = tuple(p for p in pairs if p[1] in VALUE_KINDS)
+    return OpSpec(result, pairs, len(pairs) - operands.count("?"), size,
+                  values)
+
+
+# Operand kinds: `int`, `ptr` and `any` values go to `Instr.operands`, a
+# decimal `size` to `Instr.size`, an `@` symbol to `Instr.callee` and a `^`
+# label to `Instr.labels`; `?` marks an optional trailing operand.  gep
+# index terms, phi incomings, call/extern `@f(args)` and the icmp/ptrcmp
+# comparison word are parsed and printed by hand.
+OPS = {
+    "alloc": _op("ptr", "size:int"),
+    "alloca_dyn": _op("ptr", "size:int"),
+    "stackalloc": _op("ptr", "size:size"),
+    "gep": _op("ptr", "base:ptr"),
+    "gaddr": _op("ptr", "global:@"),
+    "load": _op("int", "address:ptr size:size"),
+    "loadp": _op("ptr", "address:ptr", size=8),
+    "store": _op(None, "address:ptr size:size value:int"),
+    "storep": _op(None, "address:ptr value:ptr", size=8),
+    "phi": _op(None),
+    "select": _op(None, "condition:int a:any b:any"),
+    "call": _op(None),
+    "extern": _op(None),
+    "icmp": _op("int", "operand:int operand:int"),
+    "ptrcmp": _op("int", "operand:ptr operand:ptr"),
+    "add": _op("int", "operand:int operand:int"),
+    "sub": _op("int", "operand:int operand:int"),
+    "mul": _op("int", "operand:int operand:int"),
+    "ptrsub": _op("int", "operand:ptr operand:ptr"),
+    "mask": _op("ptr", "operand:ptr"),
+    "free": _op(None, "operand:ptr"),
+    "br": _op(None, "target:^"),
+    "condbr": _op(None, "condition:int then:^ else:^"),
+    "ret": _op(None, "value:any?"),
+}
 
 
 class ParseError(Exception):
@@ -140,19 +192,23 @@ _RE_ASSIGN = re.compile(rf"^({_NAME})\s*=\s*(.+)$")
 _RE_CALLARGS = re.compile(rf"^({_SYM})\s*\(([^)]*)\)$")
 _RE_TERM = re.compile(rf"^({_NAME})\s*\*\s*(-?\d+)$")
 _RE_INCOMING = re.compile(rf"^\[\s*(.+?)\s*,\s*({_LABEL})\s*\]$")
+_RE_VALUE = re.compile(rf"({_NAME})|(-?\d+)|(-?0x[0-9a-fA-F]+)")
+_RE_INT = re.compile(r"-?\d+")
+_RE_KIND = {"size": re.compile(r"\d+"), "@": re.compile(_SYM),
+            "^": re.compile(_LABEL)}
 
 
-def _parse_value(tok: str, line: int):
+def _parse_value(tok: str, op: str, line: int):
     tok = tok.strip()
     if tok == "null":
         return 0
-    if re.fullmatch(_NAME, tok):
-        return tok[1:]
-    if re.fullmatch(r"-?\d+", tok):
-        return int(tok)
-    if re.fullmatch(r"-?0x[0-9a-fA-F]+", tok):
-        return int(tok, 16)
-    raise ParseError(f"bad value operand {tok!r}", line)
+    m = _RE_VALUE.fullmatch(tok)
+    if m is None:
+        raise ParseError(f"bad {op} operand {tok!r}", line)
+    name, dec, hexa = m.groups()
+    if name:
+        return name[1:]
+    return int(dec) if dec else int(hexa, 16)
 
 
 def _split_args(text: str) -> list[str]:
@@ -235,119 +291,59 @@ def parse(text: str) -> Program:
 
 
 def _parse_instr(line: str, lineno: int) -> Instr:
-    dest = None
-    body = line
     m = _RE_ASSIGN.match(line)
-    if m:
-        dest = m.group(1)[1:]
-        body = m.group(2).strip()
+    dest, body = (m.group(1)[1:], m.group(2).strip()) if m else (None, line)
     op, _, rest = body.partition(" ")
-    rest = rest.strip()
-    instr = Instr(op=op, dest=dest, line=lineno)
-
-    def vals(text):
-        return [_parse_value(t, lineno) for t in _split_args(text)]
-
-    if op in ("alloc", "alloca_dyn"):
-        instr.operands = vals(rest)
-        if len(instr.operands) != 1:
-            raise ParseError(f"{op} takes one size operand", lineno)
-    elif op == "stackalloc":
-        if not re.fullmatch(r"\d+", rest):
-            raise ParseError("stackalloc takes a constant size", lineno)
-        instr.size = int(rest)
-    elif op == "gep":
-        parts = _split_args(rest)
-        if not parts:
-            raise ParseError("gep needs a base", lineno)
-        instr.operands = [_parse_value(parts[0], lineno)]
-        for part in parts[1:]:
-            tm = _RE_TERM.match(part)
-            if tm:
-                instr.gep_terms.append((tm.group(1)[1:], int(tm.group(2))))
-            elif re.fullmatch(r"-?\d+", part):
-                instr.gep_const += int(part)
-            else:
-                raise ParseError(f"bad gep term {part!r}", lineno)
-    elif op == "gaddr":
-        if not re.fullmatch(_SYM, rest):
-            raise ParseError("gaddr takes a global symbol", lineno)
-        instr.callee = rest[1:]
-    elif op == "load":
-        parts = _split_args(rest)
-        if len(parts) != 2 or not re.fullmatch(r"\d+", parts[1]):
-            raise ParseError("load takes: ptr, size", lineno)
-        instr.operands = [_parse_value(parts[0], lineno)]
-        instr.size = int(parts[1])
-    elif op == "loadp":
-        instr.operands = vals(rest)
-        if len(instr.operands) != 1:
-            raise ParseError("loadp takes one pointer operand", lineno)
-        instr.size = 8
-    elif op == "store":
-        parts = _split_args(rest)
-        if len(parts) != 3 or not re.fullmatch(r"\d+", parts[1]):
-            raise ParseError("store takes: ptr, size, value", lineno)
-        instr.operands = [_parse_value(parts[0], lineno),
-                          _parse_value(parts[2], lineno)]
-        instr.size = int(parts[1])
-    elif op == "storep":
-        instr.operands = vals(rest)
-        if len(instr.operands) != 2:
-            raise ParseError("storep takes: ptr, value", lineno)
-        instr.size = 8
-    elif op == "phi":
-        for part in _split_args(rest):
+    spec = OPS.get(op)
+    if spec is None:
+        raise ParseError(f"unknown opcode {op!r}", lineno)
+    instr = Instr(op=op, dest=dest, size=spec.size, line=lineno)
+    if op in ("call", "extern"):
+        cm = _RE_CALLARGS.match(rest.strip())
+        if not cm:
+            raise ParseError(f"bad {op} syntax", lineno)
+        instr.callee = cm.group(1)[1:]
+        instr.operands = [_parse_value(t, op, lineno)
+                          for t in _split_args(cm.group(2))]
+        return instr
+    if op in ("icmp", "ptrcmp"):
+        instr.cmp, _, rest = rest.strip().partition(" ")
+        if instr.cmp not in CMP_OPS:
+            raise ParseError(f"bad {op} comparison {instr.cmp!r}", lineno)
+    parts = _split_args(rest)
+    if op == "phi":
+        for part in parts:
             im = _RE_INCOMING.match(part)
             if not im:
                 raise ParseError(f"bad phi incoming {part!r}", lineno)
             instr.incomings.append(
-                (_parse_value(im.group(1), lineno), im.group(2)[1:]))
+                (_parse_value(im.group(1), op, lineno), im.group(2)[1:]))
         if not instr.incomings:
             raise ParseError("phi needs incomings", lineno)
-    elif op == "select":
-        instr.operands = vals(rest)
-        if len(instr.operands) != 3:
-            raise ParseError("select takes: cond, a, b", lineno)
-    elif op in ("call", "extern"):
-        cm = _RE_CALLARGS.match(rest)
-        if not cm:
-            raise ParseError(f"bad {op} syntax", lineno)
-        instr.callee = cm.group(1)[1:]
-        instr.operands = vals(cm.group(2))
-    elif op in ("icmp", "ptrcmp"):
-        kind, _, ops = rest.partition(" ")
-        if kind not in CMP_OPS:
-            raise ParseError(f"bad comparison {kind!r}", lineno)
-        instr.cmp = kind
-        instr.operands = vals(ops)
-        if len(instr.operands) != 2:
-            raise ParseError(f"{op} takes two operands", lineno)
-    elif op in ("add", "sub", "mul", "ptrsub"):
-        instr.operands = vals(rest)
-        if len(instr.operands) != 2:
-            raise ParseError(f"{op} takes two operands", lineno)
-    elif op in ("mask", "free"):
-        instr.operands = vals(rest)
-        if len(instr.operands) != 1:
-            raise ParseError(f"{op} takes one operand", lineno)
-    elif op == "br":
-        if not re.fullmatch(_LABEL, rest):
-            raise ParseError("br takes a label", lineno)
-        instr.labels = [rest[1:]]
-    elif op == "condbr":
-        parts = _split_args(rest)
-        if (len(parts) != 3 or not re.fullmatch(_LABEL, parts[1])
-                or not re.fullmatch(_LABEL, parts[2])):
-            raise ParseError("condbr takes: cond, ^then, ^else", lineno)
-        instr.operands = [_parse_value(parts[0], lineno)]
-        instr.labels = [parts[1][1:], parts[2][1:]]
-    elif op == "ret":
-        instr.operands = vals(rest) if rest else []
-        if len(instr.operands) > 1:
-            raise ParseError("ret takes at most one operand", lineno)
-    else:
-        raise ParseError(f"unknown opcode {op!r}", lineno)
+        return instr
+    if op == "gep":
+        parts, terms = parts[:1], parts[1:]
+        for part in terms:
+            tm = _RE_TERM.match(part)
+            if tm:
+                instr.gep_terms.append((tm.group(1)[1:], int(tm.group(2))))
+            elif _RE_INT.fullmatch(part):
+                instr.gep_const += int(part)
+            else:
+                raise ParseError(f"bad gep term {part!r}", lineno)
+    if not spec.required <= len(parts) <= len(spec.operands):
+        raise ParseError(f"{op} takes: {spec.syntax()}", lineno)
+    for part, (role, kind) in zip(parts, spec.operands):
+        if kind in VALUE_KINDS:
+            instr.operands.append(_parse_value(part, op, lineno))
+        elif not _RE_KIND[kind].fullmatch(part):
+            raise ParseError(f"bad {op} {role} {part!r}", lineno)
+        elif kind == "size":
+            instr.size = int(part)
+        elif kind == "@":
+            instr.callee = part[1:]
+        else:
+            instr.labels.append(part[1:])
     return instr
 
 
@@ -359,48 +355,32 @@ def _fmt_value(v) -> str:
 
 def format_instr(instr: Instr) -> str:
     op = instr.op
-    if op in ("alloc", "alloca_dyn", "loadp", "mask", "free"):
-        body = f"{op} {_fmt_value(instr.operands[0])}"
-    elif op == "stackalloc":
-        body = f"stackalloc {instr.size}"
-    elif op == "gep":
+    if op == "gep":
         parts = [_fmt_value(instr.operands[0])]
         parts += [f"{_fmt_value(i)}*{s}" for i, s in instr.gep_terms]
         if instr.gep_const or len(parts) == 1:
             parts.append(str(instr.gep_const))
-        body = "gep " + ", ".join(parts)
-    elif op == "gaddr":
-        body = f"gaddr @{instr.callee}"
-    elif op == "load":
-        body = f"load {_fmt_value(instr.operands[0])}, {instr.size}"
-    elif op == "store":
-        body = (f"store {_fmt_value(instr.operands[0])}, {instr.size}, "
-                f"{_fmt_value(instr.operands[1])}")
-    elif op == "storep":
-        body = (f"storep {_fmt_value(instr.operands[0])}, "
-                f"{_fmt_value(instr.operands[1])}")
     elif op == "phi":
-        body = "phi " + ", ".join(
-            f"[{_fmt_value(v)}, ^{lbl}]" for v, lbl in instr.incomings)
-    elif op == "select":
-        body = "select " + ", ".join(_fmt_value(v) for v in instr.operands)
+        parts = [f"[{_fmt_value(v)}, ^{lbl}]" for v, lbl in instr.incomings]
     elif op in ("call", "extern"):
         args = ", ".join(_fmt_value(v) for v in instr.operands)
-        body = f"{op} @{instr.callee}({args})"
-    elif op in ("icmp", "ptrcmp"):
-        body = (f"{op} {instr.cmp} " +
-                ", ".join(_fmt_value(v) for v in instr.operands))
-    elif op in ("add", "sub", "mul", "ptrsub"):
-        body = f"{op} " + ", ".join(_fmt_value(v) for v in instr.operands)
-    elif op == "br":
-        body = f"br ^{instr.labels[0]}"
-    elif op == "condbr":
-        body = (f"condbr {_fmt_value(instr.operands[0])}, "
-                f"^{instr.labels[0]}, ^{instr.labels[1]}")
-    elif op == "ret":
-        body = "ret" if not instr.operands else f"ret {_fmt_value(instr.operands[0])}"
-    else:  # pragma: no cover
-        raise ValueError(f"cannot print op {op!r}")
+        parts = [f"@{instr.callee}({args})"]
+    else:
+        values, labels = iter(instr.operands), iter(instr.labels)
+        parts = []
+        for _role, kind in OPS[op].operands:
+            if kind == "size":
+                parts.append(str(instr.size))
+            elif kind == "@":
+                parts.append(f"@{instr.callee}")
+            elif kind == "^":
+                parts.append(f"^{next(labels)}")
+            else:
+                v = next(values, None)
+                if v is None:       # an omitted optional operand
+                    break
+                parts.append(_fmt_value(v))
+    body = " ".join(filter(None, (op, instr.cmp, ", ".join(parts))))
     if instr.dest is not None:
         return f"%{instr.dest} = {body}"
     return body

@@ -5,14 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import CfgInfo
-from .ir import (
-    INT_RESULT_OPS,
-    PTR_RESULT_OPS,
-    TERMINATORS,
-    Function,
-    Instr,
-    Program,
-)
+from .ir import OPS, TERMINATORS, Function, Instr, Program
 
 
 @dataclass
@@ -37,8 +30,13 @@ def validate(program: Program) -> list[str]:
 
 
 def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
+    # Structural errors come first and alone: without one definition per
+    # value and known branch targets, neither a CFG nor the types exist.
     diags: list[str] = []
-    infos: dict[str, FunctionInfo] = {}
+    defs = {fn.name: _collect_defs(fn, diags)
+            for fn in program.functions.values()}
+    if diags:
+        return {}, diags
 
     if program.entry not in program.functions:
         diags.append(f"missing entry function @{program.entry}")
@@ -49,11 +47,8 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
                 diags.append(
                     f"entry parameter %{name} must be int (got {ty})")
 
-    for fn in program.functions.values():
-        infos[fn.name] = _collect_function(fn, program, diags)
-    if any(fn.name not in infos for fn in program.functions.values()):
-        return infos, diags
-
+    infos = {fn.name: _collect_function(fn, program, defs[fn.name], diags)
+             for fn in program.functions.values()}
     _infer_types(program, infos, diags)
     for info in infos.values():
         _check_uses(info, program, infos, diags)
@@ -61,14 +56,15 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     return infos, diags
 
 
-def _collect_function(fn: Function, program: Program,
-                      diags: list[str]) -> FunctionInfo:
+def _collect_defs(fn: Function, diags: list[str]) -> dict:
+    """Map each value to its definition; diagnose structural errors."""
     defs: dict = {}
     for name, _ty in fn.params:
         if name in defs:
             diags.append(f"@{fn.name}: duplicate parameter %{name}")
         defs[name] = "param"
 
+    labels = {b.label for b in fn.blocks}
     for block in fn.blocks:
         if not block.instrs or block.instrs[-1].op not in TERMINATORS:
             diags.append(f"@{fn.name} ^{block.label}: missing terminator")
@@ -91,14 +87,17 @@ def _collect_function(fn: Function, program: Program,
                         f"@{fn.name}: value %{instr.dest} defined twice "
                         f"(line {instr.line})")
                 defs[instr.dest] = instr
+            for label in instr.labels:
+                if label not in labels:
+                    diags.append(
+                        f"@{fn.name}: branch to unknown block ^{label} "
+                        f"(line {instr.line})")
+    return defs
 
-    labels = {b.label for b in fn.blocks}
+
+def _collect_function(fn: Function, program: Program, defs: dict,
+                      diags: list[str]) -> FunctionInfo:
     for instr in fn.instructions():
-        for label in instr.labels:
-            if label not in labels:
-                diags.append(
-                    f"@{fn.name}: branch to unknown block ^{label} "
-                    f"(line {instr.line})")
         if instr.op == "gaddr" and program.global_named(instr.callee) is None:
             diags.append(f"@{fn.name}: unknown global @{instr.callee} "
                          f"(line {instr.line})")
@@ -118,10 +117,9 @@ def _collect_function(fn: Function, program: Program,
 
 def _result_type(instr: Instr, types: dict, ret_types: dict,
                  program: Program):
-    if instr.op in PTR_RESULT_OPS:
-        return "ptr"
-    if instr.op in INT_RESULT_OPS:
-        return "int"
+    result = OPS[instr.op].result
+    if result is not None:
+        return result
     if instr.op in ("phi", "select"):
         operands = ([v for v, _ in instr.incomings] if instr.op == "phi"
                     else instr.operands[1:])
@@ -185,8 +183,10 @@ def _type_of(info: FunctionInfo, v):
 def _expect(info: FunctionInfo, instr: Instr, v, want: str,
             what: str, diags: list[str]) -> None:
     ty = _type_of(info, v)
-    if ty == "literal":
-        return  # literals are polymorphic (null doubles as the zero pointer)
+    # Literals are polymorphic (null doubles as the zero pointer), and an
+    # `any` operand takes either type.
+    if ty == "literal" or want == "any":
+        return
     if ty != want:
         diags.append(f"@{info.fn.name}: {what} of {instr.op} must be {want}, "
                      f"got {ty} (line {instr.line})")
@@ -249,34 +249,15 @@ def _check_instr_types(info: FunctionInfo, instr: Instr, program: Program,
                        infos: dict[str, FunctionInfo],
                        diags: list[str]) -> None:
     op = instr.op
-    if op in ("alloc", "alloca_dyn"):
-        _expect(info, instr, instr.operands[0], "int", "size", diags)
-    elif op == "gep":
-        _expect(info, instr, instr.operands[0], "ptr", "base", diags)
+    for v, (role, kind) in zip(instr.operands, OPS[op].values):
+        _expect(info, instr, v, kind, role, diags)
+    if op == "gep":
         for idx, _scale in instr.gep_terms:
             _expect(info, instr, idx, "int", "index", diags)
-    elif op in ("load", "loadp"):
-        _expect(info, instr, instr.operands[0], "ptr", "address", diags)
-    elif op == "store":
-        _expect(info, instr, instr.operands[0], "ptr", "address", diags)
-        _expect(info, instr, instr.operands[1], "int", "value", diags)
-    elif op == "storep":
-        _expect(info, instr, instr.operands[0], "ptr", "address", diags)
-        _expect(info, instr, instr.operands[1], "ptr", "value", diags)
-    elif op in ("icmp", "add", "sub", "mul"):
-        for v in instr.operands:
-            _expect(info, instr, v, "int", "operand", diags)
-    elif op in ("ptrcmp", "ptrsub"):
-        for v in instr.operands:
-            _expect(info, instr, v, "ptr", "operand", diags)
-    elif op in ("mask", "free"):
-        _expect(info, instr, instr.operands[0], "ptr", "operand", diags)
-    elif op == "select":
-        _expect(info, instr, instr.operands[0], "int", "condition", diags)
-    elif op == "condbr":
-        _expect(info, instr, instr.operands[0], "int", "condition", diags)
     elif op == "phi":
-        tys = {_type_of(info, v) for v, _ in instr.incomings} - {"literal"}
+        # An undefined value has no type; its use is diagnosed already.
+        tys = {_type_of(info, v) for v, _ in instr.incomings}
+        tys -= {"literal", None}
         if len(tys) > 1:
             diags.append(f"@{info.fn.name}: phi mixes {sorted(tys)} "
                          f"(line {instr.line})")

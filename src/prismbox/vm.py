@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass, field
 
 from .checks import CheckStats, Reason, access_check, escape_check
-from .heap import IN_BOUNDS, AllocError, FreeError, SimMemory, classify
+from .heap import (IN_BOUNDS, AllocError, FreeError, SimFault, SimMemory,
+                   classify)
 from .instrument import InstrumentedProgram
 from .tagging import MASK64
 
@@ -151,7 +152,8 @@ class VM:
         except _Abort as abort:
             return RunResult(abort.report.exit_code, None, abort.report,
                              self.stats, self.steps, self.trace_lines)
-        except (AllocError, FreeError) as exc:
+        except (AllocError, FreeError, SimFault) as exc:
+            # SimFault: a loaded pointer's forged tag passed a bounds check.
             raise VmError(str(exc)) from exc
         return RunResult(EXIT_OK, ret, None, self.stats, self.steps,
                          self.trace_lines)

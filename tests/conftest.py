@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import prismbox
 from prismbox.instrument import ALL_OPTS, instrument
 from prismbox.ir import parse
 from prismbox.tagging import Mode
@@ -69,6 +74,55 @@ def deep_program(shape: str, n: int) -> str:
     else:
         raise ValueError(shape)
     return "\n".join(lines + ["}", ""])
+
+
+# name -> (program, a word of its diagnostic).  Each has a structural error;
+# validating them once hung (a value typed two ways) or raised.
+STRUCTURAL_DEFECTS = {
+    "unknown_label": ("fn @main() {\n^entry:\n  br ^nowhere\n}\n",
+                      "unknown block"),
+    "value_redefined": ("fn @main() {\n^entry:\n  %x = alloc 8\n"
+                        "  %x = load %x, 8\n  ret 0\n}\n", "defined twice"),
+    "param_redefined": ("fn @main(%p0: int) {\n^entry:\n  %p0 = alloc 13\n"
+                        "  ret 0\n}\n", "defined twice"),
+    "phi_from_empty_block": ("fn @main() {\n^entry:\n  %y = add 1, 2\n"
+                             "  condbr %y, ^a, ^b\n^a:\n^b:\n"
+                             "  %x = phi [%y, ^entry], [%y, ^a]\n"
+                             "  ret %x\n}\n", "missing terminator"),
+}
+
+# Tagged values that pass the mode's bounds check for an 8-byte access at
+# the unmapped raw address 0x1000: pow2 claims a 2^46-byte object there,
+# prism a small frame whose end address is 0x2000.
+FORGED_TAGS = {"pow2": (46 << 47) | 0x1000, "prism": (0x2000 << 47) | 0x1000}
+
+
+def forged_pointer_program(tag: int) -> str:
+    """@main stores `tag` to memory, loads it back as a pointer, reads it."""
+    return ("fn @main() {\n^entry:\n  %c = alloc 16\n"
+            f"  store %c, 8, {tag}\n  %q = loadp %c\n"
+            "  %v = load %q, 8\n  ret %v\n}\n")
+
+
+# `python -c CLI_MAIN run FILE` is `prismbox run FILE`.
+CLI_MAIN = ("import sys; from prismbox.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+
+
+def python_isolated(code: str, *args: str, stdin: str = "",
+                    timeout: float = 10) -> subprocess.CompletedProcess:
+    """Run `python -c code args` with this prismbox importable.
+
+    A child that outlives `timeout` seconds is killed and the caller gets
+    `subprocess.TimeoutExpired`, so a hang fails one test, not the suite.
+    """
+    src = str(Path(prismbox.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", code, *args], input=stdin,
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
 
 
 def corpus_text(name: str) -> str:

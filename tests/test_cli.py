@@ -4,7 +4,17 @@ import json
 
 import pytest
 
-from conftest import DEEP_SHAPES, RECURSIVE_PIR, corpus_text, deep_program
+from conftest import (
+    CLI_MAIN,
+    DEEP_SHAPES,
+    FORGED_TAGS,
+    RECURSIVE_PIR,
+    STRUCTURAL_DEFECTS,
+    corpus_text,
+    deep_program,
+    forged_pointer_program,
+    python_isolated,
+)
 from prismbox.cli import load_corpus, main, run_corpus_case
 
 
@@ -163,3 +173,19 @@ def test_deep_program_runs_without_traceback(pir, capsys, shape, n):
     assert main(["run", path]) == 0
     out, err = capsys.readouterr()
     assert out.strip() == "ret 0" and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_DEFECTS))
+def test_structural_error_exits_4_without_traceback(pir, name):
+    text, word = STRUCTURAL_DEFECTS[name]
+    proc = python_isolated(CLI_MAIN, "run", pir("bad.pir", text))
+    assert proc.returncode == 4
+    assert word in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("mode", sorted(FORGED_TAGS))
+def test_forged_pointer_exits_1_without_traceback(pir, capsys, mode):
+    path = pir("forged.pir", forged_pointer_program(FORGED_TAGS[mode]))
+    assert main(["run", path, "--mode", mode]) == 1
+    err = capsys.readouterr().err
+    assert "unmapped address 0x1000" in err and "Traceback" not in err

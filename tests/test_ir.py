@@ -2,10 +2,10 @@
 
 import pytest
 
-from conftest import corpus_text
+from conftest import STRUCTURAL_DEFECTS, corpus_text, python_isolated
 from prismbox import fuzz
 from prismbox.ir import ParseError, parse, print_program
-from prismbox.verify import ValidationError, require_valid, validate
+from prismbox.verify import ValidationError, analyze, require_valid, validate
 
 CORPUS_FILES = ["linked_list.pir", "cost_compare.pir", "partial_struct.pir",
                 "negative_index.pir", "negative_copy.pir", "end_escape.pir",
@@ -124,3 +124,66 @@ def test_duplicate_value_rejected():
     except ParseError:
         return
     assert validate(program)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURAL_DEFECTS))
+def test_structural_error_diagnosed(name):
+    text, word = STRUCTURAL_DEFECTS[name]
+    code = ("import sys; from prismbox.ir import parse; "
+            "from prismbox.verify import validate; "
+            "print(*validate(parse(sys.stdin.read())), sep='\\n')")
+    proc = python_isolated(code, stdin=text)
+    assert proc.returncode == 0, proc.stderr
+    assert word in proc.stdout
+
+
+def test_structural_errors_reported_alone():
+    # The undefined %x and the int-typed pointer are not reported: types
+    # and uses are only checked once the structure is sound.
+    text = ("fn @main(%n: ptr) {\n^entry:\n  %y = add %x, %n\n"
+            "  br ^nowhere\n}\n")
+    infos, diags = analyze(parse(text))
+    assert infos == {}
+    assert diags == ["@main: branch to unknown block ^nowhere (line 4)"]
+
+
+# Wrong operand counts and kinds, including a size that `\d` rejects but a
+# digit test such as str.isdigit would accept (the superscript two).
+@pytest.mark.parametrize("line", [
+    "%x = load %p", "%x = load %p, 8, 8", "%x = load %p, ²",
+    "%x = load %p, -8", "store %p, %v, 8", "%x = stackalloc %n",
+    "%x = gaddr buf", "br entry", "condbr 1, ^a", "ret 1, 2",
+    "%x = icmp eq %a", "%x = icmp lt", "%x = gep", "%x = gep %p, %i*x",
+    "%x = phi", "%x = phi [1 ^a]", "%x = call @f(", "%x = alloc 0x",
+    "free", "%x = add %a, %%b",
+])
+def test_malformed_instruction_names_op_and_line(line):
+    with pytest.raises(ParseError) as exc:
+        parse(f"fn @main() {{\n^entry:\n  {line}\n  ret 0\n}}\n")
+    assert exc.value.line == 3
+    assert line.split("= ")[-1].split()[0] in str(exc.value)
+
+
+def test_value_literals():
+    program = parse("fn @main() {\n^entry:\n  %x = add 0x1F, -0x2\n"
+                    "  %y = add -7, null\n  ret %y\n}\n")
+    first, second = program.functions["main"].entry.instrs[:2]
+    assert first.operands == [31, -2] and second.operands == [-7, 0]
+
+
+def test_phi_of_undefined_value_diagnosed():
+    text = """
+fn @main(%n: int) {
+^entry:
+  condbr %n, ^left, ^right
+^left:
+  br ^join
+^right:
+  br ^join
+^join:
+  %v = phi [%a, ^left], [%n, ^right]
+  ret %v
+}
+"""
+    assert validate(parse(text)) == [
+        "@main: use of undefined value %a (line 10)"]
