@@ -19,12 +19,19 @@ class Reason(Enum):
     ESCAPE_INVARIANT = "escape_invariant"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckOutcome:
     ok: bool
     reason: Reason | None = None
     sa_fetched: bool = False
     xor_lower: bool = False
+
+
+# What every check that passes without an SA fetch or a lower XOR returns.
+PASS = CheckOutcome(True)
+
+# fetch_log keeps the first FETCH_LOG_LIMIT SA fetches; sa_fetches counts all.
+FETCH_LOG_LIMIT = 1024
 
 
 @dataclass
@@ -45,11 +52,6 @@ class CheckStats:
             self.aborts += 1
 
 
-def _end(ptr: int, access_size: int) -> int:
-    # 64-bit saturation: wrapping could only turn an abort into a pass.
-    return min(ptr + access_size, MASK64)
-
-
 def bounds_check(ksa: int, ptr: int, access_size: int, mem,
                  stats: CheckStats | None = None,
                  skip_lower: bool = False) -> CheckOutcome:
@@ -58,19 +60,26 @@ def bounds_check(ksa: int, ptr: int, access_size: int, mem,
     prism reconstructs the EA from the frame-relative tag; prism32 reads it
     straight from the tag area.
     """
-    ea = decode_ea32(ksa) if mem.mode.kind == "prism32" else compute_ea(ksa)
-    ksa_raw = mem.mode.strip(ksa)
-    if _end(ptr, access_size) > ea:
+    mode = mem.mode
+    ea = decode_ea32(ksa) if mode.kind == "prism32" else compute_ea(ksa)
+    ksa_raw = ksa & mode.mask
+    # 64-bit saturation: wrapping could only turn an abort into a pass.
+    end = ptr + access_size
+    if end > MASK64:
+        end = MASK64
+    if end > ea:
         outcome = CheckOutcome(False, Reason.UPPER_BOUND)
     elif not skip_lower and ptr < ksa_raw:
         if ptr < mem.read_sa(ea):
             outcome = CheckOutcome(False, Reason.LOWER_BOUND, sa_fetched=True)
         else:
             outcome = CheckOutcome(True, sa_fetched=True)
-        if stats is not None:
+        if stats is not None and len(stats.fetch_log) < FETCH_LOG_LIMIT:
             stats.fetch_log.append((ptr, ksa_raw))
     else:
-        outcome = CheckOutcome(True)
+        if stats is not None:
+            stats.dynamic_checks += 1
+        return PASS
     if stats is not None:
         stats.note(outcome)
     return outcome
@@ -84,8 +93,11 @@ def bounds_check_2k(ksa: int, ptr: int, access_size: int, mode: Mode,
                     skip_lower: bool = False) -> CheckOutcome:
     """pow2 predicate: XOR against the aligned size; no memory access ever."""
     aligned = pow2_aligned_size(ksa)
-    ksa_raw = mode.strip(ksa)
-    if (ksa_raw ^ _end(ptr, access_size)) >= aligned:
+    ksa_raw = ksa & mode.mask
+    end = ptr + access_size
+    if end > MASK64:    # saturated, as in bounds_check
+        end = MASK64
+    if (ksa_raw ^ end) >= aligned:
         outcome = CheckOutcome(False, Reason.UPPER_BOUND)
     elif not skip_lower and ptr < ksa_raw:
         # The ptr < ksa guard skips the lower-bound XOR on the common path.
@@ -94,7 +106,9 @@ def bounds_check_2k(ksa: int, ptr: int, access_size: int, mode: Mode,
         else:
             outcome = CheckOutcome(True, xor_lower=True)
     else:
-        outcome = CheckOutcome(True)
+        if stats is not None:
+            stats.dynamic_checks += 1
+        return PASS
     if stats is not None:
         stats.note(outcome)
     return outcome
@@ -114,9 +128,9 @@ def escape_check(mode: Mode, value: int, ksa: int, mem,
                  stats: CheckStats | None = None) -> CheckOutcome:
     """Zero-size bounds check enforcing that an escaping value is <= EA."""
     if statically_aliased:
-        return CheckOutcome(True)
+        return PASS
     if maybe_equal_at_runtime and mode.strip(value) == mode.strip(ksa):
-        return CheckOutcome(True)
+        return PASS
     outcome = access_check(mode, ksa, mode.strip(value), 0, mem, stats)
     if not outcome.ok:
         outcome = CheckOutcome(False, Reason.ESCAPE_INVARIANT,

@@ -6,7 +6,9 @@ Every allocation stores its start address in the 8 bytes at EA+q (except
 pow2 mode, which checks bounds by XOR and never reads SA back).
 Memory is materialized lazily as 64KB pages; touching an unmapped page is
 a SimFault.  A guest can reach one through a pointer with a forged tag,
-so the VM reports it as a VmError.
+so the VM reports it as a VmError.  A mapped page is the shared read-only
+ZERO_PAGE until its first write gives it its own buffer, so an allocation
+costs memory only for the pages written.
 
 Stack addresses are reused: popping a frame rewinds the stack pointer, so
 a later frame's objects can cover a dead frame's records.  Every record
@@ -34,6 +36,7 @@ from .tagging import (
 PAGE = 1 << 16
 LOW_GUARD = 1 << 22                 # first 4MB is never mapped
 MAX_ALLOC = (1 << 32) - (1 << 16)   # 4GB - 64KB
+ZERO_PAGE = bytes(PAGE)
 
 SMALL_BASE = 1 << 32
 LARGE_BASE = 1 << 33
@@ -119,7 +122,7 @@ class SimMemory:
         self.mode = mode
         self.q = mode.q
         self.materialize = materialize
-        self.pages: dict[int, bytearray] = {}
+        self.pages: dict[int, bytes | bytearray] = {}
         self.records: list[AllocationRecord] = []   # in allocation order
         # The record index: the sorted addresses at which the set of
         # covering records changes, and for each the records covering
@@ -145,8 +148,7 @@ class SimMemory:
         if not self.materialize:
             return
         for base in range(start & ~(PAGE - 1), end, PAGE):
-            if base not in self.pages:
-                self.pages[base] = bytearray(PAGE)
+            self.pages.setdefault(base, ZERO_PAGE)
 
     def read(self, addr: int, length: int) -> bytes:
         if length < 0:
@@ -172,14 +174,35 @@ class SimMemory:
             page = self.pages.get(base)
             if page is None:
                 raise SimFault(f"write to unmapped address {pos:#x}")
+            if page is ZERO_PAGE:
+                page = self.pages[base] = bytearray(PAGE)
             off = pos - base
             take = min(PAGE - off, len(data) - i)
             page[off:off + take] = data[i:i + take]
             pos += take
             i += take
 
+    def read_int(self, addr: int, size: int) -> int:
+        """The little-endian integer of `size` bytes at addr."""
+        off = addr & (PAGE - 1)
+        page = self.pages.get(addr - off)
+        if page is not None and off + size <= PAGE:
+            return int.from_bytes(page[off:off + size], "little")
+        return int.from_bytes(self.read(addr, size), "little")
+
+    def write_int(self, addr: int, size: int, value: int) -> None:
+        """Store the low `size` bytes of value at addr, little-endian."""
+        data = (value & ((1 << (size << 3)) - 1)).to_bytes(size, "little")
+        off = addr & (PAGE - 1)
+        page = self.pages.get(addr - off)
+        # Only a page written before has a buffer of its own to write into.
+        if isinstance(page, bytearray) and off + size <= PAGE:
+            page[off:off + size] = data
+        else:
+            self.write(addr, data)
+
     def read_sa(self, ea: int) -> int:
-        return int.from_bytes(self.read(ea + self.q, 8), "little")
+        return self.read_int(ea + self.q, 8)
 
     # ------------------------------------------------------------ allocation
 
@@ -305,7 +328,7 @@ class SimMemory:
         self.records.append(rec)
         self._index(rec)
         if aligned_size is None and self.materialize:
-            self.write(ea + self.q, sa.to_bytes(8, "little"))
+            self.write_int(ea + self.q, 8, sa)
         return tagged
 
     # ------------------------------------------------------------------ free

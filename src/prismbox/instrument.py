@@ -86,10 +86,13 @@ class InstrumentedProgram:
     sites_by_origin: dict[int, list[CheckSite]] = field(default_factory=dict)
     mask_counts: dict[str, int] = field(default_factory=dict)
     ksa_maps: dict[str, dict] = field(default_factory=dict)
+    # The VM's decoded block plans, by function (see vm.py).
+    plans: dict[str, dict] = field(default_factory=dict)
 
     def rebuild_index(self) -> None:
         self.sites_by_instr = {}
         self.sites_by_origin = {}
+        self.plans = {}
         for site in self.sites:
             self.sites_by_instr.setdefault(id(site.instr), []).append(site)
             self.sites_by_origin.setdefault(id(site.origin), []).append(site)

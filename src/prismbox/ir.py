@@ -211,8 +211,13 @@ def _parse_value(tok: str, op: str, line: int):
     return int(dec) if dec else int(hexa, 16)
 
 
-def _split_args(text: str) -> list[str]:
-    """Split on top-level commas, respecting [value, ^label] brackets."""
+def _split_args(text: str, what: str, line: int) -> list[str]:
+    """Split on top-level commas, respecting [value, ^label] brackets.
+
+    Blank text is an empty list; an empty argument is an error.
+    """
+    if not text.strip():
+        return []
     parts, depth, cur = [], 0, ""
     for ch in text:
         if ch == "," and depth == 0:
@@ -224,9 +229,11 @@ def _split_args(text: str) -> list[str]:
         elif ch == "]":
             depth -= 1
         cur += ch
-    if cur.strip():
-        parts.append(cur)
-    return [p.strip() for p in parts if p.strip()]
+    parts.append(cur)
+    parts = [p.strip() for p in parts]
+    if "" in parts:
+        raise ParseError(f"empty argument in {what}", line)
+    return parts
 
 
 def parse(text: str) -> Program:
@@ -254,7 +261,7 @@ def parse(text: str) -> Program:
             m = _RE_FN.match(line)
             if m:
                 params = []
-                for part in _split_args(m.group(2)):
+                for part in _split_args(m.group(2), m.group(1), lineno):
                     pm = _RE_PARAM.match(part)
                     if not pm:
                         raise ParseError(f"bad parameter {part!r}", lineno)
@@ -304,13 +311,13 @@ def _parse_instr(line: str, lineno: int) -> Instr:
             raise ParseError(f"bad {op} syntax", lineno)
         instr.callee = cm.group(1)[1:]
         instr.operands = [_parse_value(t, op, lineno)
-                          for t in _split_args(cm.group(2))]
+                          for t in _split_args(cm.group(2), op, lineno)]
         return instr
     if op in ("icmp", "ptrcmp"):
         instr.cmp, _, rest = rest.strip().partition(" ")
         if instr.cmp not in CMP_OPS:
             raise ParseError(f"bad {op} comparison {instr.cmp!r}", lineno)
-    parts = _split_args(rest)
+    parts = _split_args(rest, op, lineno)
     if op == "phi":
         for part in parts:
             im = _RE_INCOMING.match(part)

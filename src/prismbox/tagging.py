@@ -8,7 +8,7 @@ stores log2 of the aligned allocation size in the tag area.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 ADDR_BITS = 47
@@ -43,19 +43,23 @@ class Mode:
 
     kind: str = "prism"
     q: int = 0
+    # The raw-address bits, fixed by the kind.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
             raise ValueError(f"unknown mode kind: {self.kind!r}")
         if self.q < 0:
             raise ValueError("q-padding must be non-negative")
+        object.__setattr__(self, "mask",
+                           ADDR_MASK_32 if self.is32 else ADDR_MASK)
 
     @property
     def is32(self) -> bool:
         return self.kind == "prism32"
 
     def strip(self, value: int) -> int:
-        return value & (ADDR_MASK_32 if self.is32 else ADDR_MASK)
+        return value & self.mask
 
 
 def strip_tag(value: int, mode: Mode | None = None) -> int:

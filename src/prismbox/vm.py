@@ -8,17 +8,34 @@ divergences the instrumentation admits by design.  The oracle finds a
 record through the heap's one index (`SimMemory.record_at`), keyed by the
 tagged KSA: stack addresses are reused once a frame is popped, so the
 address alone cannot tell a live object from a dead one at the same place.
+
+Op semantics live in one table, `HANDLERS`: one function per op, called as
+`handler(vm, instr, frame)`.  A handler stores its result in the frame
+under `instr.dest` and returns None; `br` and `condbr` return the label of
+the next block, and `ret` returns a `_Return`.  A frame maps each value
+name to its value and reads a literal operand as itself, so a handler
+reads every operand the same way.
+
+The engine runs blocks from plans.  A block's plan is its phi prefix, each
+phi with its incoming value by predecessor label, and its other
+instructions as `(instr, handler, sites)` steps; `sites` is None, or the
+instruction's check sites for each backend, those that never run already
+left out.  A block is decoded on its first entry, and its plan is cached
+per function on the `InstrumentedProgram` (`iprog.plans`), not on the VM:
+the two runs of one differential, and any repeated run, share one decode.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .checks import CheckStats, Reason, access_check, escape_check
 from .heap import (IN_BOUNDS, AllocError, FreeError, SimFault, SimMemory,
                    classify)
-from .instrument import InstrumentedProgram
+from .instrument import EXECUTING, LOWER_DROPPED, InstrumentedProgram
 from .tagging import MASK64
 
 EXIT_OK = 0
@@ -94,18 +111,58 @@ class _Abort(Exception):
         self.report = report
 
 
+class _Return(NamedTuple):
+    value: int | None
+
+
+class _Frame(dict):
+    """The values of one guest call.  A name maps to what it was set to; a
+    literal operand reads as itself, masked to 64 bits."""
+
+    __slots__ = ("info",)   # the called function's FunctionInfo
+
+    def __missing__(self, v):
+        if isinstance(v, str):
+            raise VmError(f"read of unset value %{v}")
+        value = self[v] = v & MASK64
+        return value
+
+
+class _FunctionPlans(dict):
+    """One function's block plans by label, each decoded on first entry."""
+
+    def __init__(self, iprog: InstrumentedProgram, fn):
+        super().__init__()
+        self.blocks = fn.blockmap()
+        self.site_tables = (iprog.sites_by_instr, iprog.sites_by_origin)
+
+    def __missing__(self, label: str) -> tuple:
+        instrs = self.blocks[label].instrs
+        phis = []
+        for instr in instrs:
+            if instr.op != "phi":
+                break
+            incoming = {}
+            for value, pred in instr.incomings:
+                incoming.setdefault(pred, value)
+            phis.append((instr.dest, incoming))
+        by_instr, by_origin = self.site_tables
+        steps = []
+        for instr in instrs[len(phis):]:
+            checks = by_instr.get(id(instr))
+            exact = by_origin.get(id(instr))
+            sites = None
+            if checks is not None or exact is not None:
+                sites = ([s for s in checks or ()
+                          if s.kind == "Escape" or s.status in EXECUTING],
+                         exact or ())
+            steps.append((instr, HANDLERS[instr.op], sites))
+        plan = self[label] = (tuple(phis), steps)
+        return plan
+
+
 def _signed(v: int) -> int:
     return v - (1 << 64) if v >= 1 << 63 else v
-
-
-_CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
 
 
 class VM:
@@ -122,13 +179,13 @@ class VM:
         self.tracing = trace
         self.step_limit = step_limit
         self.allowed_events: list[OracleEvent] = []
-        # Each backend attaches its sites to instructions in its own table.
-        # The handler is kept unbound: a bound method stored on the VM would
+        # Which of a step's two site lists this backend runs, and how.  The
+        # handler is kept unbound: a bound method stored on the VM would
         # form a cycle that keeps every finished VM alive until a GC pass.
         cls = type(self)
-        self._site_table, self._site_handler = (
-            (iprog.sites_by_instr, cls._check_sites) if backend == "checks"
-            else (iprog.sites_by_origin, cls._oracle_sites))
+        self._site_index, self._site_handler = (
+            (0, cls._check_sites) if backend == "checks"
+            else (1, cls._oracle_sites))
 
     # -------------------------------------------------------------- top level
 
@@ -160,180 +217,39 @@ class VM:
 
     # -------------------------------------------------------------- execution
 
-    def _val(self, v, env) -> int:
-        if isinstance(v, str):
-            try:
-                return env[v]
-            except KeyError:
-                raise VmError(f"read of unset value %{v}") from None
-        return v & MASK64
-
     def _call(self, fn, args: list[int]) -> int | None:
-        info = self.iprog.infos[fn.name]
-        env = {name: arg for (name, _ty), arg in zip(fn.params, args)}
+        env = _Frame(zip((name for name, _ty in fn.params), args))
+        env.info = self.iprog.infos[fn.name]
+        plans = self.iprog.plans.get(fn.name)
+        if plans is None:
+            plans = self.iprog.plans[fn.name] = _FunctionPlans(self.iprog, fn)
         mark = self.mem.stack_mark()
-        blockmap = fn.blockmap()
-        site_table, run_sites = self._site_table, self._site_handler
-        block = fn.entry
-        prev_label = None
+        which, run_sites = self._site_index, self._site_handler
+        limit = self.step_limit
+        label, prev = fn.entry.label, None
         while True:
-            # Phis read the environment as of block entry, all at once.
-            idx = 0
-            updates = {}
-            while idx < len(block.instrs) and block.instrs[idx].op == "phi":
-                phi = block.instrs[idx]
-                for value, label in phi.incomings:
-                    if label == prev_label:
-                        updates[phi.dest] = self._val(value, env)
-                        break
-                else:
-                    raise VmError(f"phi %{phi.dest} has no edge from "
-                                  f"^{prev_label}")
-                idx += 1
-            env.update(updates)
-            self.steps += len(updates)
-            for instr in block.instrs[idx:]:
+            phis, steps = plans[label]
+            if phis:
+                # Phis read the environment as of block entry, all at once.
+                updates = {}
+                for dest, incoming in phis:
+                    if prev not in incoming:
+                        raise VmError(f"phi %{dest} has no edge from ^{prev}")
+                    updates[dest] = env[incoming[prev]]
+                env.update(updates)
+                self.steps += len(updates)
+            for instr, handler, sites in steps:
                 self.steps += 1
-                if self.steps > self.step_limit:
+                if self.steps > limit:
                     raise VmError("step limit exceeded")
-                sites = site_table.get(id(instr))
-                if sites:
-                    run_sites(self, sites, instr, env)
-                op = instr.op
-                if op == "br":
-                    prev_label = block.label
-                    block = blockmap[instr.labels[0]]
-                    break
-                if op == "condbr":
-                    taken = 0 if self._val(instr.operands[0], env) else 1
-                    prev_label = block.label
-                    block = blockmap[instr.labels[taken]]
-                    break
-                if op == "ret":
-                    ret = (self._val(instr.operands[0], env)
-                           if instr.operands else None)
-                    self.mem.release_stack(mark)
-                    return ret
-                result = self._exec(instr, env, info)
-                if instr.dest is not None:
-                    env[instr.dest] = result if result is not None else 0
-
-    def _exec(self, instr, env, info):
-        op = instr.op
-        mem = self.mem
-        if op == "alloc":
-            size = _signed(self._val(instr.operands[0], env))
-            return mem.alloc(size)
-        if op == "stackalloc":
-            return mem.alloc_stack_escaped(instr.size)
-        if op == "alloca_dyn":
-            size = _signed(self._val(instr.operands[0], env))
-            if size < 1:
-                raise VmError(f"dynamic stack allocation of {size} bytes")
-            return mem.alloc_stack_dynamic(size)
-        if op == "gep":
-            addr = self._val(instr.operands[0], env) + instr.gep_const
-            for index, scale in instr.gep_terms:
-                addr += self._val(index, env) * scale
-            return addr & MASK64
-        if op == "gaddr":
-            return self.genv[instr.callee]
-        if op == "load":
-            addr = self.mode.strip(self._val(instr.operands[0], env))
-            return int.from_bytes(mem.read(addr, instr.size), "little")
-        if op == "loadp":
-            addr = self.mode.strip(self._val(instr.operands[0], env))
-            return int.from_bytes(mem.read(addr, 8), "little")
-        if op == "store":
-            addr = self.mode.strip(self._val(instr.operands[0], env))
-            value = self._val(instr.operands[1], env)
-            value &= (1 << (8 * instr.size)) - 1
-            mem.write(addr, value.to_bytes(instr.size, "little"))
-            return None
-        if op == "storep":
-            addr = self.mode.strip(self._val(instr.operands[0], env))
-            mem.write(addr, self._val(instr.operands[1], env)
-                      .to_bytes(8, "little"))
-            return None
-        if op == "select":
-            pick = 1 if self._val(instr.operands[0], env) else 2
-            return self._val(instr.operands[pick], env)
-        if op == "icmp":
-            a = _signed(self._val(instr.operands[0], env))
-            b = _signed(self._val(instr.operands[1], env))
-            return 1 if _CMP[instr.cmp](a, b) else 0
-        if op == "ptrcmp":
-            a = self._val(instr.operands[0], env)
-            b = self._val(instr.operands[1], env)
-            return 1 if _CMP[instr.cmp](a, b) else 0
-        if op == "add":
-            return (self._val(instr.operands[0], env)
-                    + self._val(instr.operands[1], env)) & MASK64
-        if op == "sub":
-            return (self._val(instr.operands[0], env)
-                    - self._val(instr.operands[1], env)) & MASK64
-        if op == "mul":
-            return (self._val(instr.operands[0], env)
-                    * self._val(instr.operands[1], env)) & MASK64
-        if op == "ptrsub":
-            return (self._val(instr.operands[0], env)
-                    - self._val(instr.operands[1], env)) & MASK64
-        if op == "mask":
-            return self.mode.strip(self._val(instr.operands[0], env))
-        if op == "free":
-            try:
-                mem.free(self._val(instr.operands[0], env))
-            except FreeError as exc:
-                raise VmError(str(exc)) from exc
-            return None
-        if op == "call":
-            if self.depth >= MAX_CALL_DEPTH:
-                raise VmError(f"call depth limit {MAX_CALL_DEPTH} exceeded")
-            callee = self.program.functions[instr.callee]
-            args = [self._val(v, env) for v in instr.operands]
-            self.depth += 1
-            ret = self._call(callee, args)
-            self.depth -= 1
-            return ret
-        if op == "extern":
-            return self._extern(instr, env, info)
-        raise VmError(f"cannot execute op {op!r}")  # pragma: no cover
-
-    # ---------------------------------------------------------------- externs
-
-    def _extern(self, instr, env, info):
-        kind = self.program.externs[instr.callee]
-        args = [self._val(v, env) for v in instr.operands]
-        if kind == "alloc":
-            if len(args) != 1:
-                raise VmError(f"@{instr.callee} takes one size argument")
-            return self.mem.alloc(_signed(args[0]))
-        if kind == "pure":
-            total = 0
-            for v, a in zip(instr.operands, args):
-                if isinstance(v, str) and info.types.get(v) == "ptr":
-                    total += self.mode.strip(a)
-                else:
-                    total += a
-            return total & MASK64
-        # copy: the declared length is checked against the exact records
-        # before the pointers are stripped at the sandbox boundary.
-        if len(args) != 3:
-            raise VmError(f"@{instr.callee} takes: dst, src, len")
-        dst, src, length = args
-        if length == 0:
-            return 0
-        for ptr in (dst, src):
-            raw = self.mode.strip(ptr)
-            rec = self.mem.record_at(raw)
-            if classify(raw, length, rec) != IN_BOUNDS or not rec.live:
-                raise _Abort(ViolationReport(
-                    exit_code=EXIT_BOUNDS, reason=Reason.UPPER_BOUND.value,
-                    kind="boundary", sid=None, fn=instr.callee,
-                    line=instr.line, ksa=raw, ptr=raw, size=length))
-        data = self.mem.read(self.mode.strip(src), length)
-        self.mem.write(self.mode.strip(dst), data)
-        return 0
+                if sites is not None:
+                    run_sites(self, sites[which], instr, env)
+                nxt = handler(self, instr, env)
+            if isinstance(nxt, str):
+                prev, label = label, nxt
+                continue
+            self.mem.release_stack(mark)
+            return nxt.value
 
     # ------------------------------------------------------------ check sites
 
@@ -341,7 +257,7 @@ class VM:
         for site in sites:
             if site.kind == "Escape":
                 self._check_escape(site, env)
-            elif site.executes:
+            else:
                 self._check_access(site, instr, env)
 
     def _abort(self, site, outcome, ptr, ksa_raw):
@@ -353,8 +269,6 @@ class VM:
             size=site.size))
 
     def _trace(self, site, ptr, size, outcome) -> None:
-        if not self.tracing:
-            return
         verdict = "ok" if outcome.ok else f"ABORT {outcome.reason.value}"
         extra = " sa-fetch" if outcome.sa_fetched else ""
         self.trace_lines.append(
@@ -362,25 +276,26 @@ class VM:
             f"ptr={ptr:#x} size={size} -> {verdict}{extra}")
 
     def _check_access(self, site, instr, env) -> None:
-        ksa = self._val(site.ksa, env)
+        mask = self.mode.mask
+        ksa = env[site.ksa]
         size = site.size
         if site.kind == "LoopHoisted":
             # One check of the loop's whole window, from the KSA.
             lo, hi = site.window
-            ptr, size = (self.mode.strip(ksa) + lo) & MASK64, hi - lo
+            ptr, size = ((ksa & mask) + lo) & MASK64, hi - lo
         else:
-            ptr = self.mode.strip(self._val(instr.operands[0], env))
+            ptr = env[instr.operands[0]] & mask
             if site.widened:
                 # Combined check: re-anchor the pointer at the merged
                 # window's low edge and check the whole hull at once.
                 lo, hi = site.window
                 ptr, size = ptr - site.base_offset + lo, hi - lo
-        skip_lower = site.status == "LowerBoundDropped"
         outcome = access_check(self.mode, ksa, ptr, size, self.mem,
-                               self.stats, skip_lower=skip_lower)
-        self._trace(site, ptr, size, outcome)
+                               self.stats, site.status == LOWER_DROPPED)
+        if self.tracing:
+            self._trace(site, ptr, size, outcome)
         if not outcome.ok:
-            self._abort(site, outcome, ptr, self.mode.strip(ksa))
+            self._abort(site, outcome, ptr, ksa & mask)
 
     def _check_escape(self, site, env) -> None:
         if not isinstance(site.escape_value, str):
@@ -393,12 +308,13 @@ class VM:
                 exit_code=EXIT_ESCAPE, reason=Reason.ESCAPE_INVARIANT.value,
                 kind=site.kind, sid=site.sid, fn=site.fn,
                 line=site.origin.line, ksa=raw, ptr=raw, size=0))
-        value = self._val(site.escape_value, env)
-        ksa = self._val(site.ksa, env)
+        value = env[site.escape_value]
+        ksa = env[site.ksa]
         outcome = escape_check(self.mode, value, ksa, self.mem,
                                maybe_equal_at_runtime=site.maybe_equal,
                                stats=self.stats)
-        self._trace(site, self.mode.strip(value), 0, outcome)
+        if self.tracing:
+            self._trace(site, self.mode.strip(value), 0, outcome)
         if not outcome.ok:
             self._abort(site, outcome, self.mode.strip(value),
                         self.mode.strip(ksa))
@@ -408,13 +324,13 @@ class VM:
     def _oracle_sites(self, sites, instr, env) -> None:
         for site in sites:
             if site.kind != "Escape":
-                ksa = self._val(site.ksa, env)
-                addr = self.mode.strip(self._val(site.origin.operands[0], env))
+                ksa = env[site.ksa]
+                addr = env[site.origin.operands[0]] & self.mode.mask
                 self._oracle_check(site, ksa, addr, site.origin.size)
             else:
-                raw = self.mode.strip(self._val(site.escape_value, env))
+                raw = env[site.escape_value] & self.mode.mask
                 if raw:  # storing null is always legitimate
-                    self._oracle_check(site, self._val(site.ksa, env), raw, 0)
+                    self._oracle_check(site, env[site.ksa], raw, 0)
 
     def _oracle_check(self, site, ksa, addr, size) -> None:
         """Classify one access, or one escaping pointer, against the record
@@ -441,3 +357,154 @@ class VM:
             exit_code=code, reason=reason.value,
             kind="Escape" if escape else "Access", sid=site.sid, fn=site.fn,
             line=site.origin.line, ksa=ksa_raw, ptr=addr, size=size))
+
+
+# ----------------------------------------------------------------- handlers
+# An op without a dest stores its result under None, which no operand names.
+
+def _alloc(vm, instr, env):
+    env[instr.dest] = vm.mem.alloc(_signed(env[instr.operands[0]]))
+
+
+def _stackalloc(vm, instr, env):
+    env[instr.dest] = vm.mem.alloc_stack_escaped(instr.size)
+
+
+def _alloca_dyn(vm, instr, env):
+    size = _signed(env[instr.operands[0]])
+    if size < 1:
+        raise VmError(f"dynamic stack allocation of {size} bytes")
+    env[instr.dest] = vm.mem.alloc_stack_dynamic(size)
+
+
+def _gep(vm, instr, env):
+    addr = env[instr.operands[0]] + instr.gep_const
+    for index, scale in instr.gep_terms:
+        addr += env[index] * scale
+    env[instr.dest] = addr & MASK64
+
+
+def _gaddr(vm, instr, env):
+    env[instr.dest] = vm.genv[instr.callee]
+
+
+def _load(vm, instr, env):
+    # loadp carries its implied size (8) in instr.size, as parsed.
+    env[instr.dest] = vm.mem.read_int(env[instr.operands[0]] & vm.mode.mask,
+                                      instr.size)
+
+
+def _store(vm, instr, env):
+    operands = instr.operands
+    vm.mem.write_int(env[operands[0]] & vm.mode.mask, instr.size,
+                     env[operands[1]])
+    if instr.dest is not None:
+        env[instr.dest] = 0
+
+
+def _select(vm, instr, env):
+    operands = instr.operands
+    env[instr.dest] = env[operands[1] if env[operands[0]] else operands[2]]
+
+
+_CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+        "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
+def _icmp(vm, instr, env):
+    a, b = instr.operands
+    env[instr.dest] = 1 if _CMP[instr.cmp](_signed(env[a]),
+                                           _signed(env[b])) else 0
+
+
+def _ptrcmp(vm, instr, env):
+    a, b = instr.operands
+    env[instr.dest] = 1 if _CMP[instr.cmp](env[a], env[b]) else 0
+
+
+_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "ptrsub": operator.sub}
+
+
+def _arith(vm, instr, env):
+    a, b = instr.operands
+    env[instr.dest] = _ARITH[instr.op](env[a], env[b]) & MASK64
+
+
+def _mask(vm, instr, env):
+    env[instr.dest] = env[instr.operands[0]] & vm.mode.mask
+
+
+def _free(vm, instr, env):
+    vm.mem.free(env[instr.operands[0]])
+    if instr.dest is not None:
+        env[instr.dest] = 0
+
+
+def _call(vm, instr, env):
+    if vm.depth >= MAX_CALL_DEPTH:
+        raise VmError(f"call depth limit {MAX_CALL_DEPTH} exceeded")
+    callee = vm.program.functions[instr.callee]
+    args = [env[v] for v in instr.operands]
+    vm.depth += 1
+    ret = vm._call(callee, args)
+    vm.depth -= 1
+    if instr.dest is not None:
+        env[instr.dest] = 0 if ret is None else ret
+
+
+def _extern(vm, instr, env):
+    kind = vm.program.externs[instr.callee]
+    args = [env[v] for v in instr.operands]
+    if kind == "alloc":
+        if len(args) != 1:
+            raise VmError(f"@{instr.callee} takes one size argument")
+        env[instr.dest] = vm.mem.alloc(_signed(args[0]))
+        return
+    mask = vm.mode.mask
+    if kind == "pure":
+        types = env.info.types
+        total = 0
+        for v, a in zip(instr.operands, args):
+            ptr = isinstance(v, str) and types.get(v) == "ptr"
+            total += a & mask if ptr else a
+        env[instr.dest] = total & MASK64
+        return
+    # copy: the declared length is checked against the exact records
+    # before the pointers are stripped at the sandbox boundary.
+    if len(args) != 3:
+        raise VmError(f"@{instr.callee} takes: dst, src, len")
+    dst, src, length = args
+    if length:
+        for ptr in (dst, src):
+            raw = ptr & mask
+            rec = vm.mem.record_at(raw)
+            if classify(raw, length, rec) != IN_BOUNDS or not rec.live:
+                raise _Abort(ViolationReport(
+                    exit_code=EXIT_BOUNDS, reason=Reason.UPPER_BOUND.value,
+                    kind="boundary", sid=None, fn=instr.callee,
+                    line=instr.line, ksa=raw, ptr=raw, size=length))
+        vm.mem.write(dst & mask, vm.mem.read(src & mask, length))
+    env[instr.dest] = 0
+
+
+def _br(vm, instr, env):
+    return instr.labels[0]
+
+
+def _condbr(vm, instr, env):
+    return instr.labels[0 if env[instr.operands[0]] else 1]
+
+
+def _ret(vm, instr, env):
+    return _Return(env[instr.operands[0]] if instr.operands else None)
+
+
+HANDLERS = {
+    "alloc": _alloc, "stackalloc": _stackalloc, "alloca_dyn": _alloca_dyn,
+    "gep": _gep, "gaddr": _gaddr, "load": _load, "loadp": _load,
+    "store": _store, "storep": _store, "select": _select, "icmp": _icmp,
+    "ptrcmp": _ptrcmp, "add": _arith, "sub": _arith, "mul": _arith,
+    "ptrsub": _arith, "mask": _mask, "free": _free, "call": _call,
+    "extern": _extern, "br": _br, "condbr": _condbr, "ret": _ret,
+}

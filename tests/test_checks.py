@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismbox.checks import (
+    FETCH_LOG_LIMIT,
+    PASS,
     CheckStats,
     Reason,
     access_check,
@@ -193,3 +195,29 @@ class TestCheckStats:
             assert not access_check(m.mode, tag, sa + 200, 8, m,
                                     stats=stats).ok
             assert stats.dynamic_checks == 2
+
+
+def test_fetch_log_keeps_first_entries_and_exact_count():
+    m, tag, sa, _ = prism_obj(size=4 * FETCH_LOG_LIMIT)
+    stats = CheckStats()
+    fetches = FETCH_LOG_LIMIT + 5
+    for i in range(fetches):    # each pointer below its KSA fetches the SA
+        out = bounds_check(tag + i + 1, sa + i, 1, m, stats=stats)
+        assert out.ok and out.sa_fetched
+    assert stats.sa_fetches == stats.dynamic_checks == fetches
+    assert len(stats.fetch_log) == FETCH_LOG_LIMIT
+    assert stats.fetch_log[-1] == (sa + FETCH_LOG_LIMIT - 1,
+                                   sa + FETCH_LOG_LIMIT)
+
+
+def test_passing_checks_share_one_outcome():
+    m, tag, sa, _ = prism_obj()
+    stats = CheckStats()
+    assert bounds_check(tag, sa, 8, m, stats=stats) is PASS
+    m2 = SimMemory(Mode("pow2"))
+    tag2 = m2.alloc(16)
+    assert bounds_check_2k(tag2, m2.mode.strip(tag2), 8, m2.mode,
+                           stats=stats) is PASS
+    assert stats.dynamic_checks == 2 and stats.aborts == 0
+    with pytest.raises(AttributeError):
+        PASS.ok = False

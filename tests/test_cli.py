@@ -189,3 +189,30 @@ def test_forged_pointer_exits_1_without_traceback(pir, capsys, mode):
     assert main(["run", path, "--mode", mode]) == 1
     err = capsys.readouterr().err
     assert "unmapped address 0x1000" in err and "Traceback" not in err
+
+
+# Runs `python -c CODE ARGS` in a child of its own and prints the child's
+# exit code, output and peak RSS in kB as JSON.  A child started straight
+# from the test process would report that process's memory: a forked child
+# starts with its parent's pages resident, and the peak survives exec.
+PEAK_RSS = """
+import json, resource, subprocess, sys
+proc = subprocess.run([sys.executable, "-c", *sys.argv[1:]],
+                      capture_output=True, text=True)
+usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+print(json.dumps({"code": proc.returncode, "out": proc.stdout,
+                  "err": proc.stderr, "maxrss_kb": usage.ru_maxrss}))
+"""
+
+
+def test_large_allocation_maps_pages_lazily(pir):
+    # 100 MB mapped, one page written near its end: only the written pages
+    # take memory (zero-filling every page peaked at ~113 MB).
+    path = pir("big.pir", "fn @main() {\n^entry:\n  %a = alloc 100000000\n"
+                          "  %p = gep %a, 99999992\n  store %p, 8, 77\n"
+                          "  %v = load %p, 8\n  ret %v\n}\n")
+    proc = python_isolated(PEAK_RSS, CLI_MAIN, "run", path, timeout=60)
+    child = json.loads(proc.stdout)
+    assert child["code"] == 0, child["err"]
+    assert child["out"].strip() == "ret 77"
+    assert child["maxrss_kb"] < 48 * 1024

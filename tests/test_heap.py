@@ -11,6 +11,7 @@ from prismbox.heap import (
     AllocError,
     FreeError,
     SimFault,
+    ZERO_PAGE,
     SimMemory,
 )
 from prismbox.tagging import Mode, compute_ea, decode_ea32, pow2_aligned_size, strip_tag
@@ -319,3 +320,33 @@ class TestRecordIndex:
         assert m.record_at(second.ea) is second
         assert m.record_at(second.ea + 1) is dead
         assert m.record_at(dead.ea + 1) is None
+
+
+class TestLazyPages:
+    def test_pages_stay_shared_until_written(self):
+        m = mem()
+        sa, ea = span(m, m.alloc(1 << 20))
+        written = [b for b, p in m.pages.items() if p is not ZERO_PAGE]
+        assert len(m.pages) == 17
+        assert written == [ea & ~(PAGE - 1)]      # the SA store at EA+q
+        assert m.read(sa, 16) == bytes(16)
+        m.write_int(sa + 3, 1, 0xAB)
+        assert sum(p is not ZERO_PAGE for p in m.pages.values()) == 2
+        assert ZERO_PAGE == bytes(PAGE)
+
+    @pytest.mark.parametrize("offset", [0, PAGE - 8, PAGE - 3, PAGE])
+    def test_int_roundtrip_within_and_across_pages(self, offset):
+        m = mem()
+        sa, _ = span(m, m.alloc(4 * PAGE))
+        addr = sa + offset
+        m.write_int(addr, 8, -2)        # only the low 8 bytes are stored
+        assert m.read(addr, 8) == b"\xfe" + b"\xff" * 7
+        assert m.read_int(addr, 8) == (1 << 64) - 2
+        assert m.read_int(addr + 8, 4) == 0
+
+    def test_int_access_to_unmapped_page_faults(self):
+        m = mem()
+        with pytest.raises(SimFault):
+            m.read_int(0x1000, 8)
+        with pytest.raises(SimFault):
+            m.write_int(0x1000, 8, 1)

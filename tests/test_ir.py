@@ -187,3 +187,31 @@ fn @main(%n: int) {
 """
     assert validate(parse(text)) == [
         "@main: use of undefined value %a (line 10)"]
+
+
+# An empty argument is an error in every argument list; `()` is not.
+@pytest.mark.parametrize("line", [
+    "%x = add 1,, 2", "ret %x,", "%x = gep %p, , 8", "store ,%p, 8, 1",
+    "%x = call @f(1,, 2)", "%x = call @f(1,)", "%x = extern @e(, 1)",
+    "%x = phi [0, ^a],, [1, ^b]", "%x = phi [0, ^a],",
+])
+def test_empty_argument_rejected(line):
+    with pytest.raises(ParseError, match="empty argument") as exc:
+        parse(f"fn @main() {{\n^entry:\n  {line}\n  ret 0\n}}\n")
+    assert exc.value.line == 3
+    assert line.split("= ")[-1].split()[0] in str(exc.value)
+
+
+def test_empty_parameter_rejected():
+    with pytest.raises(ParseError, match="empty argument in @main") as exc:
+        parse("fn @main(%n: int,) {\n^entry:\n  ret 0\n}\n")
+    assert exc.value.line == 1
+
+
+def test_empty_argument_lists_parse():
+    program = parse("extern @e kind=pure\nfn @f() {\n^entry:\n  ret 1\n}\n"
+                    "fn @main() {\n^entry:\n  %x = call @f( )\n"
+                    "  %y = extern @e()\n  ret\n}\n")
+    call, ext, ret = program.functions["main"].entry.instrs
+    assert call.operands == ext.operands == ret.operands == []
+    assert program.functions["f"].params == []

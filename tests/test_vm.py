@@ -2,7 +2,9 @@
 
 import pytest
 
-from conftest import RECURSIVE_PIR, corpus_text, run_text
+from conftest import (RECURSIVE_PIR, corpus_expectations, corpus_text,
+                      instrument_text, run_text)
+from prismbox.oracle import default_allowance
 from prismbox.vm import VM, EXIT_BOUNDS, EXIT_ESCAPE, EXIT_OK, VmError
 
 
@@ -335,3 +337,77 @@ class TestCallDepth:
     def test_deep_recursion_raises_vm_error(self, backend):
         with pytest.raises(VmError, match="call depth"):
             run_text(RECURSIVE_PIR, inputs=[2000], backend=backend)
+
+
+SPIN_PIR = """
+fn @main() {
+^entry:
+  br ^spin
+^spin:
+  %i = phi [0, ^entry], [%j, ^spin]
+  %j = add %i, 1
+  br ^spin
+}
+"""
+
+
+class TestPlans:
+    @pytest.mark.parametrize("limit", [1, 2, 1000])
+    def test_step_limit_is_exact(self, limit):
+        # The limit is tested at each step that is not a phi.
+        vm = VM(instrument_text("fn @main() {\n^entry:\n  br ^spin\n"
+                                "^spin:\n  br ^spin\n}\n"),
+                step_limit=limit)
+        with pytest.raises(VmError, match="step limit exceeded"):
+            vm.run()
+        assert vm.steps == limit + 1
+
+    @pytest.mark.parametrize("backend", ["checks", "oracle"])
+    def test_unset_value_message(self, backend):
+        iprog = instrument_text("fn @main() {\n^entry:\n  %x = add 1, 2\n"
+                                "  %y = add %x, 3\n  ret %y\n}\n")
+        iprog.program.functions["main"].entry.instrs[1].operands[0] = "ghost"
+        with pytest.raises(VmError) as exc:
+            VM(iprog, backend=backend).run()
+        assert str(exc.value) == "read of unset value %ghost"
+
+    @pytest.mark.parametrize("backend", ["checks", "oracle"])
+    def test_phi_without_edge_message(self, backend):
+        iprog = instrument_text(SPIN_PIR)
+        phi = iprog.program.functions["main"].block("spin").instrs[0]
+        phi.incomings[0] = (0, "elsewhere")
+        with pytest.raises(VmError) as exc:
+            VM(iprog, backend=backend).run()
+        assert str(exc.value) == "phi %i has no edge from ^entry"
+
+    @pytest.mark.parametrize("kind,q", [("prism", 0), ("pow2", 8),
+                                        ("prism32", 32)])
+    @pytest.mark.parametrize("case", [c["name"] for c in
+                                      corpus_expectations()["cases"]])
+    def test_shared_plans_match_fresh_programs(self, case, kind, q):
+        spec = next(c for c in corpus_expectations()["cases"]
+                    if c["name"] == case)
+        text, inputs = corpus_text(spec["file"]), spec.get("inputs", [])
+        shared = instrument_text(text, kind, q)
+        for backend, trace in [("checks", False), ("oracle", False),
+                               ("checks", True)]:
+            allowance = default_allowance if backend == "oracle" else None
+            fresh = instrument_text(text, kind, q)
+            got, want = (VM(iprog, backend=backend, allowance=allowance,
+                            trace=trace).run(list(inputs))
+                         for iprog in (shared, fresh))
+            assert _observed(got) == _observed(want)
+            plans = {name: dict(p) for name, p in shared.plans.items()}
+            assert plans and all(plans.values())
+        # Every later run reused the plans decoded by the first.
+        assert all(p is shared.plans[name][label]
+                   for name, fn_plans in plans.items()
+                   for label, p in fn_plans.items())
+
+
+def _observed(res):
+    stats = res.check_stats
+    return (res.exit_code, res.ret, res.steps, stats.dynamic_checks,
+            stats.sa_fetches, stats.xor_lower_paths, stats.aborts,
+            stats.fetch_log,
+            res.violation.to_dict() if res.violation else None, res.trace)
