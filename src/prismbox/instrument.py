@@ -9,6 +9,7 @@ and loop hoisting.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .analysis import CfgInfo
@@ -21,8 +22,12 @@ COMBINE_CAP = 1 << 22        # 4MB cap on combined constants
 LOWER_BOUND_CAP = 1 << 30    # 1GB cap for lower-bound elimination
 HOIST_CAP = 1 << 30
 
+ACCESS_OPS = ("load", "loadp", "store", "storep")
 KSA_ROOT_OPS = ("alloc", "stackalloc", "alloca_dyn", "gaddr", "loadp",
                 "extern", "call")
+_LINKS = ("gep", "mask")         # a pointer's KSA is its base's
+_MIRRORED = ("phi", "select")    # the KSA and the masked clone are copies
+_CHAINED = _LINKS + _MIRRORED
 
 # Site statuses.  LOWER_DROPPED sites still execute an upper-bound-only check.
 ACTIVE = "Active"
@@ -34,7 +39,7 @@ LOWER_DROPPED = "LowerBoundDropped"
 EXECUTING = (ACTIVE, LOWER_DROPPED)
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckSite:
     sid: int
     kind: str                    # 'Access' | 'Escape' | 'LoopHoisted'
@@ -102,17 +107,11 @@ class InstrumentedProgram:
                    if s.executes and (fn is None or s.fn == fn))
 
     def elided_counts(self) -> dict[str, int]:
-        counts = {"qpad": 0, "combine": 0, "lower_bound": 0, "hoist": 0}
-        for s in self.sites:
-            if s.status == ELIDED_Q:
-                counts["qpad"] += 1
-            elif s.status in (ELIDED_COMBINE, ELIDED_DOMINANCE):
-                counts["combine"] += 1
-            if s.status == LOWER_DROPPED:
-                counts["lower_bound"] += 1
-            if s.kind == "LoopHoisted":
-                counts["hoist"] += 1
-        return counts
+        status = Counter(s.status for s in self.sites)
+        return {"qpad": status[ELIDED_Q],
+                "combine": status[ELIDED_COMBINE] + status[ELIDED_DOMINANCE],
+                "lower_bound": status[LOWER_DROPPED],
+                "hoist": sum(s.kind == "LoopHoisted" for s in self.sites)}
 
     def site_table(self) -> list[dict]:
         return [s.describe(self.cfgs[s.fn]) for s in self.sites]
@@ -134,10 +133,7 @@ def instrument(program: Program, mode: Mode,
         worker.reset_metadata()
         worker.instrument_ptr_cmp_sub()
         mask_counts[fn.name] = worker.mask_count
-        ksa_maps[fn.name] = dict(worker.ksa)
-    program.renumber()
-    for info in infos.values():
-        info.cfg.refresh_positions()
+        ksa_maps[fn.name] = worker.ksa
     cfgs = {name: info.cfg for name, info in infos.items()}
     iprog = InstrumentedProgram(program=program, mode=mode, opts=tuple(opts),
                                 sites=sites, infos=infos, cfgs=cfgs,
@@ -179,6 +175,13 @@ def _drive(call):
     return result
 
 
+def _pointer_operands(d: Instr) -> list:
+    """The operands a gep, mask, phi or select takes its pointer from."""
+    if d.op == "phi":
+        return [v for v, _ in d.incomings]
+    return d.operands[:1] if d.op in _LINKS else d.operands[1:]
+
+
 def offset_shape(defs: dict, v):
     """(anchor, const, terms) of v's byte offset walked back through geps."""
     const = 0
@@ -194,6 +197,8 @@ def offset_shape(defs: dict, v):
             else:
                 const += idx * scale
         v = d.operands[0]
+    if not terms:
+        return v, const, ()
     terms = {k: s for k, s in terms.items() if s}
     return v, const, tuple(sorted(terms.items()))
 
@@ -206,90 +211,98 @@ class _FnInstrumenter:
         self.ksa: dict = {}
         self.reset_map: dict = {}
         self.mask_count = 0
-        self._names = set(info.defs)
         self._self_ksa: dict | None = None
+        # What the passes below read, in program order.  They insert only
+        # value definitions, so these lists stay complete.
+        instrs = fn.instructions()
+        self.accesses = [i for i in instrs if i.op in ACCESS_OPS]
+        self.escapes = [i for i in instrs if i.op in ("storep", "call", "ret")]
+        self.ptr_cmps = [i for i in instrs if i.op in ("ptrcmp", "ptrsub")]
+        self.ptr_defs = [i.dest for i in instrs if i.dest is not None
+                         and info.types.get(i.dest) == "ptr"]
+        self._blocks = {id(i): b for b in fn.blocks for i in b.instrs
+                        if i.dest is not None}      # id(def) -> its block
 
     # ------------------------------------------------------------- plumbing
 
     def _fresh(self, base: str) -> str:
+        # Each fresh name is defined before the next one is asked for.
         name = base
         n = 0
-        while name in self._names:
+        while name in self.info.defs:
             n += 1
             name = f"{base}{n}"
-        self._names.add(name)
         return name
 
-    def _def(self, v):
-        return self.info.defs.get(v) if isinstance(v, str) else None
-
-    def _block_of(self, instr: Instr) -> Block:
-        for block in self.fn.blocks:
-            if instr in block.instrs:
-                return block
-        raise KeyError(f"instruction not found in @{self.fn.name}")
-
     def _insert_after(self, anchor: Instr, new: Instr) -> None:
-        block = self._block_of(anchor)
-        block.instrs.insert(block.instrs.index(anchor) + 1, new)
-        self.info.defs[new.dest] = new
+        block = self._blocks[id(anchor)]
+        self._insert(block, block.instrs.index(anchor) + 1, new)
 
     def _insert_at_phi_head(self, block: Block, new: Instr) -> None:
         idx = 0
         while idx < len(block.instrs) and block.instrs[idx].op == "phi":
             idx += 1
+        self._insert(block, idx, new)
+
+    def _insert(self, block: Block, idx: int, new: Instr) -> None:
         block.instrs.insert(idx, new)
         self.info.defs[new.dest] = new
+        self._blocks[id(new)] = block
 
     # ------------------------------------------------------------------ KSA
 
     def compute_ksa_all(self) -> None:
-        for instr in list(self.fn.instructions()):
-            if instr.dest and self.info.types.get(instr.dest) == "ptr":
-                self.ksa_of(instr.dest)
+        for name in self.ptr_defs:
+            self.ksa_of(name)
         for name, ty in self.fn.params:
             if ty == "ptr":
                 self.ksa_of(name)
 
     def ksa_of(self, v):
         """Roll pointer arithmetic back to the value's provenance root."""
-        return _drive(self._ksa(v))
+        known = self._known_ksa(v)
+        return _drive(self._ksa(v)) if known is None else known
+
+    def _known_ksa(self, v):
+        """v's KSA if finding it needs no recursion, else None."""
+        if not isinstance(v, str) or v in self.ksa:
+            return self.ksa.get(v, v)
+        d = self.info.defs.get(v)
+        if d is None or d == "param" or d.op not in _CHAINED:
+            # A root (KSA_ROOT_OPS), or a non-pointer op that ended up here.
+            self.ksa[v] = v
+        elif d.op in _LINKS and (not isinstance(d.operands[0], str)
+                                 or d.operands[0] in self.ksa):
+            self.ksa[v] = self._known_ksa(d.operands[0])
+        return self.ksa.get(v)
 
     def _ksa(self, v):
-        if not isinstance(v, str):
-            return v
-        if v in self.ksa:
-            return self.ksa[v]
-        d = self._def(v)
-        if d is None or d == "param" or d.op in KSA_ROOT_OPS:
-            self.ksa[v] = v
-            return v
-        if d.op in ("gep", "mask"):
-            result = yield self._ksa(d.operands[0])
-            self.ksa[v] = result
-            return result
+        known = self._known_ksa(v)
+        if known is not None:
+            return known
+        d = self.info.defs[v]
+        if d.op in _MIRRORED:
+            return (yield from self._mirror(v, d, ".ksa", self.ksa, self._ksa,
+                                            d.line))
+        result = self.ksa[v] = yield self._ksa(d.operands[0])
+        return result
+
+    def _mirror(self, v, d: Instr, suffix: str, memo: dict, recurse,
+                line: int = 0):
+        """A copy of phi or select d choosing between recurse(operand)s."""
+        name = memo[v] = self._fresh(v + suffix)   # breaks cycles
+        new = Instr(d.op, name, line=line)
         if d.op == "phi":
-            name = self._fresh(f"{v}.ksa")
-            mirror = Instr(op="phi", dest=name, line=d.line)
-            self.ksa[v] = name  # break cycles before filling operands
-            self._insert_at_phi_head(self._block_of(d), mirror)
+            self._insert_at_phi_head(self._blocks[id(d)], new)
             incomings = []
             for op, lbl in d.incomings:
-                incomings.append(((yield self._ksa(op)), lbl))
-            mirror.incomings = incomings
-            return name
-        if d.op == "select":
-            name = self._fresh(f"{v}.ksa")
-            mirror = Instr(op="select", dest=name, line=d.line)
-            self.ksa[v] = name
-            self._insert_after(d, mirror)
-            mirror.operands = [d.operands[0],
-                               (yield self._ksa(d.operands[1])),
-                               (yield self._ksa(d.operands[2]))]
-            return name
-        # Non-pointer producing op ended up here; treat as its own root.
-        self.ksa[v] = v
-        return v
+                incomings.append(((yield recurse(op)), lbl))
+            new.incomings = incomings
+        else:
+            self._insert_after(d, new)
+            new.operands = [d.operands[0], (yield recurse(d.operands[1])),
+                            (yield recurse(d.operands[2]))]
+        return name
 
     def self_ksa(self, v) -> bool:
         """Is v statically guaranteed to equal its KSA at runtime?"""
@@ -300,31 +313,23 @@ class _FnInstrumenter:
         return self._self_ksa.get(v, False)
 
     def _compute_self_ksa(self) -> None:
-        flags = dict.fromkeys(self.info.provenance, True)
+        # The pointer values in definition order: one sweep settles all
+        # but those fed back through a phi.
+        flags = {v: True for v, ty in self.info.types.items() if ty == "ptr"}
+        defs = self.info.defs
         changed = True
         while changed:
             changed = False
             for v in flags:
-                if not flags[v]:
+                d = defs.get(v)
+                if not flags[v] or d is None or d == "param" \
+                        or d.op in KSA_ROOT_OPS:
                     continue
-                d = self._def(v)
-                if d is None or d == "param" or d.op in KSA_ROOT_OPS:
-                    ok = True
-                elif d.op == "gep":
-                    base = d.operands[0]
-                    ok = (not d.gep_terms and d.gep_const == 0
-                          and (not isinstance(base, str) or flags.get(base, False)))
-                elif d.op == "phi":
-                    ok = all(not isinstance(op, str) or flags.get(op, False)
-                             for op, _ in d.incomings)
-                elif d.op == "select":
-                    ok = all(not isinstance(op, str) or flags.get(op, False)
-                             for op in d.operands[1:])
-                elif d.op == "mask":
-                    base = d.operands[0]
-                    ok = not isinstance(base, str) or flags.get(base, False)
-                else:
-                    ok = False
+                # Zero-offset links, phis and selects of such values only.
+                ok = d.op in _CHAINED and (
+                    d.op != "gep" or not d.gep_terms and d.gep_const == 0
+                ) and all(not isinstance(op, str) or flags.get(op, False)
+                          for op in _pointer_operands(d))
                 if not ok:
                     flags[v] = False
                     changed = True
@@ -333,7 +338,7 @@ class _FnInstrumenter:
     def canon(self, v):
         """Strip zero-geps and masks: the static-alias normal form."""
         while isinstance(v, str):
-            d = self._def(v)
+            d = self.info.defs.get(v)
             if d is None or d == "param":
                 return v
             if d.op == "gep" and not d.gep_terms and d.gep_const == 0:
@@ -357,35 +362,27 @@ class _FnInstrumenter:
 
     # ---------------------------------------------------------------- sites
 
-    def _new_site(self, **kw) -> CheckSite:
-        site = CheckSite(sid=self.sid[0], fn=self.fn.name,
-                         origin=kw["instr"], **kw)
+    def _new_site(self, kind: str, instr: Instr, ksa, size: int, window,
+                  var_key, **escape) -> CheckSite:
+        site = CheckSite(self.sid[0], kind, self.fn.name, instr, instr, ksa,
+                         size, window, var_key, **escape)
         self.sid[0] += 1
         return site
 
     def insert_access_sites(self, sites: list[CheckSite]) -> None:
-        for instr in list(self.fn.instructions()):
-            if instr.op not in ("load", "loadp", "store", "storep"):
-                continue
+        for instr in self.accesses:
             ptr = instr.operands[0]
             window, var_key = self.window_of(ptr, instr.size)
-            sites.append(self._new_site(
-                kind="Access", instr=instr, ksa=self.ksa_of(ptr),
-                size=instr.size, window=window, var_key=var_key))
+            sites.append(self._new_site("Access", instr, self.ksa_of(ptr),
+                                        instr.size, window, var_key))
 
     def insert_escape_sites(self, sites: list[CheckSite]) -> None:
-        for instr in list(self.fn.instructions()):
-            escaping = []
-            if instr.op == "storep":
-                escaping.append(instr.operands[1])
-            elif instr.op == "call":
-                escaping += [v for v in instr.operands
-                             if isinstance(v, str)
-                             and self.info.types.get(v) == "ptr"]
-            elif instr.op == "ret" and instr.operands:
-                v = instr.operands[0]
-                if isinstance(v, str) and self.info.types.get(v) == "ptr":
-                    escaping.append(v)
+        for instr in self.escapes:
+            # A stored pointer escapes; so does a pointer-typed name passed
+            # to a call or returned.
+            escaping = [instr.operands[1]] if instr.op == "storep" else [
+                v for v in instr.operands
+                if isinstance(v, str) and self.info.types.get(v) == "ptr"]
             for v in escaping:
                 if not isinstance(v, str):
                     if v == 0:
@@ -393,88 +390,60 @@ class _FnInstrumenter:
                     # A non-null integer literal escaping as a pointer (the
                     # (void*)-1 sentinel pattern) is checked and will abort.
                     sites.append(self._new_site(
-                        kind="Escape", instr=instr, ksa=v, size=0,
-                        window=(0, 0), var_key=None, escape_value=v))
+                        "Escape", instr, v, 0, (0, 0), None, escape_value=v))
                     continue
                 ksa = self.ksa_of(v)
                 if self.canon(v) == self.canon(ksa):
                     continue  # static alias of its KSA needs no check
-                d = self._def(v)
+                d = self.info.defs.get(v)
                 maybe_equal = (d not in (None, "param")
                                and d.op in ("phi", "select"))
                 window, var_key = self.window_of(v, 0)
                 sites.append(self._new_site(
-                    kind="Escape", instr=instr, ksa=ksa, size=0,
-                    window=window, var_key=var_key, escape_value=v,
+                    "Escape", instr, ksa, 0, window, var_key, escape_value=v,
                     maybe_equal=maybe_equal))
 
     # ------------------------------------------------------- metadata reset
 
     def reset(self, v):
         """Masked clone of the address chain computing v; memoized per KSA."""
-        return _drive(self._reset(v))
+        known = self.reset_map.get(v) if isinstance(v, str) else v
+        return _drive(self._reset(v)) if known is None else known
 
     def _reset(self, v):
-        if not isinstance(v, str):
-            return v
-        if v in self.reset_map:
-            return self.reset_map[v]
-        d = self._def(v)
+        if not isinstance(v, str) or v in self.reset_map:
+            return self.reset_map.get(v, v)
+        d = self.info.defs.get(v)
         if d == "param" or d is None or d.op in KSA_ROOT_OPS:
-            name = self._fresh(f"{v}.m")
-            mask = Instr(op="mask", dest=name, operands=[v])
+            name = self.reset_map[v] = self._fresh(v + ".m")
+            mask = Instr("mask", name, [v])
             if d in ("param", None):
                 self._insert_at_phi_head(self.fn.entry, mask)
             else:
                 self._insert_after(d, mask)
             self.mask_count += 1
-            self.reset_map[v] = name
             return name
-        if d.op == "mask":
+        if d.op not in _CHAINED or d.op == "mask":
             self.reset_map[v] = v
             return v
-        if d.op == "gep":
-            name = self._fresh(f"{v}.m")
-            clone = Instr(op="gep", dest=name,
-                          operands=[(yield self._reset(d.operands[0]))],
-                          gep_const=d.gep_const,
-                          gep_terms=list(d.gep_terms))
-            self._insert_after(d, clone)
-            self.reset_map[v] = name
-            return name
-        if d.op == "phi":
-            name = self._fresh(f"{v}.m")
-            clone = Instr(op="phi", dest=name)
-            self.reset_map[v] = name
-            self._insert_at_phi_head(self._block_of(d), clone)
-            incomings = []
-            for op, lbl in d.incomings:
-                incomings.append(((yield self._reset(op)), lbl))
-            clone.incomings = incomings
-            return name
-        if d.op == "select":
-            name = self._fresh(f"{v}.m")
-            clone = Instr(op="select", dest=name)
-            self.reset_map[v] = name
-            self._insert_after(d, clone)
-            clone.operands = [d.operands[0],
-                              (yield self._reset(d.operands[1])),
-                              (yield self._reset(d.operands[2]))]
-            return name
-        self.reset_map[v] = v
-        return v
+        if d.op in _MIRRORED:
+            return (yield from self._mirror(v, d, ".m", self.reset_map,
+                                            self._reset))
+        base = yield self._reset(d.operands[0])
+        name = self.reset_map[v] = self._fresh(v + ".m")
+        self._insert_after(d, Instr("gep", name, [base], None, d.gep_const,
+                                    list(d.gep_terms)))
+        return name
 
     def reset_metadata(self) -> None:
-        for instr in list(self.fn.instructions()):
-            if instr.op in ("load", "loadp", "store", "storep"):
-                instr.operands[0] = self.reset(instr.operands[0])
+        for instr in self.accesses:
+            instr.operands[0] = self.reset(instr.operands[0])
 
     def instrument_ptr_cmp_sub(self) -> None:
         # Conservative: an operand may always be a tagged duplicate of an
         # escaped stack/global address, so both operands are masked.
-        for instr in list(self.fn.instructions()):
-            if instr.op in ("ptrcmp", "ptrsub"):
-                instr.operands = [self.reset(v) for v in instr.operands]
+        for instr in self.ptr_cmps:
+            instr.operands = [self.reset(v) for v in instr.operands]
 
 
 # -------------------------------------------------------------- optimization
@@ -512,6 +481,8 @@ def opt_combine(iprog: InstrumentedProgram) -> None:
             continue
         groups.setdefault((site.fn, site.ksa), []).append(site)
     for (fn, _ksa), group in groups.items():
+        if len(group) < 2:
+            continue
         cfg = iprog.cfgs[fn]
         order = {label: i for i, label in
                  enumerate(b.label for b in cfg.fn.blocks)}
@@ -580,13 +551,13 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
                         or not site.executes or site.var_key is None
                         or site.widened):
                     continue
+                _, terms = site.var_key
+                if len(terms) != 1 or terms[0][0] != ind_name:
+                    continue
                 block, _ = cfg.position(site.instr)
                 if block not in loop.body:
                     continue
                 if not cfg.block_postdominates(block, body_entry):
-                    continue
-                _, terms = site.var_key
-                if len(terms) != 1 or terms[0][0] != ind_name:
                     continue
                 if not _ksa_available(info, cfg, site.ksa, loop):
                     continue

@@ -93,7 +93,7 @@ class ParseError(Exception):
 
 
 # Compared by identity: passes find an instruction in its block's list.
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Instr:
     op: str
     dest: str | None = None
@@ -106,12 +106,13 @@ class Instr:
     callee: str | None = None
     cmp: str | None = None
     line: int = 0
-    iid: int = -1
 
-    def values_read(self) -> list:
-        vals = list(self.operands)
-        vals += [idx for idx, _ in self.gep_terms]
-        vals += [v for v, _ in self.incomings]
+    def values_read(self) -> list:     # may be self.operands, not a copy
+        vals = self.operands
+        if self.gep_terms:
+            vals = vals + [idx for idx, _ in self.gep_terms]
+        if self.incomings:
+            vals = vals + [v for v, _ in self.incomings]
         return vals
 
 
@@ -132,6 +133,7 @@ class Function:
     name: str
     params: list[tuple[str, str]]                     # (name, 'int'|'ptr')
     blocks: list[Block] = field(default_factory=list)
+    _blockmap: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def entry(self) -> Block:
@@ -141,11 +143,13 @@ class Function:
         return self.blockmap()[label]
 
     def blockmap(self) -> dict[str, Block]:
-        return {b.label: b for b in self.blocks}
+        # Blocks are only ever appended: a map as long as the list is current.
+        if len(self._blockmap) != len(self.blocks):
+            self._blockmap = {b.label: b for b in self.blocks}
+        return self._blockmap
 
-    def instructions(self):
-        for block in self.blocks:
-            yield from block.instrs
+    def instructions(self) -> list[Instr]:
+        return [instr for block in self.blocks for instr in block.instrs]
 
 
 @dataclass
@@ -162,13 +166,6 @@ class Program:
     externs: dict[str, str] = field(default_factory=dict)
     entry: str = "main"
 
-    def renumber(self) -> None:
-        nid = 0
-        for fn in self.functions.values():
-            for instr in fn.instructions():
-                instr.iid = nid
-                nid += 1
-
     def global_named(self, name: str) -> Global | None:
         for g in self.globals:
             if g.name == name:
@@ -178,7 +175,8 @@ class Program:
 
 # --------------------------------------------------------------------- parse
 
-_NAME = r"%[A-Za-z_][A-Za-z0-9_.]*"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
+_NAME = "%" + _IDENT
 _SYM = r"@[A-Za-z_][A-Za-z0-9_.]*"
 _LABEL = r"\^[A-Za-z_][A-Za-z0-9_.]*"
 
@@ -188,7 +186,8 @@ _RE_EXTERN = re.compile(rf"^extern\s+({_SYM})\s+kind=(\w+)$")
 _RE_FN = re.compile(rf"^fn\s+({_SYM})\s*\(([^)]*)\)\s*\{{$")
 _RE_PARAM = re.compile(rf"^({_NAME})\s*:\s*(int|ptr)$")
 _RE_BLOCK = re.compile(rf"^({_LABEL}):$")
-_RE_ASSIGN = re.compile(rf"^({_NAME})\s*=\s*(.+)$")
+# `%dest = op rest`: the op runs to the first space, as in an unassigned line.
+_RE_ASSIGN = re.compile(rf"^%({_IDENT})\s*=\s*([^ ]+)(?: (.*))?$")
 _RE_CALLARGS = re.compile(rf"^({_SYM})\s*\(([^)]*)\)$")
 _RE_TERM = re.compile(rf"^({_NAME})\s*\*\s*(-?\d+)$")
 _RE_INCOMING = re.compile(rf"^\[\s*(.+?)\s*,\s*({_LABEL})\s*\]$")
@@ -199,16 +198,16 @@ _RE_KIND = {"size": re.compile(r"\d+"), "@": re.compile(_SYM),
 
 
 def _parse_value(tok: str, op: str, line: int):
-    tok = tok.strip()
-    if tok == "null":
-        return 0
+    """A stripped token's value: a name, an int literal or null."""
     m = _RE_VALUE.fullmatch(tok)
     if m is None:
+        if tok == "null":
+            return 0
         raise ParseError(f"bad {op} operand {tok!r}", line)
-    name, dec, hexa = m.groups()
-    if name:
-        return name[1:]
-    return int(dec) if dec else int(hexa, 16)
+    alt = m.lastindex       # a name, a decimal or a hex literal
+    if alt == 1:
+        return tok[1:]
+    return int(tok, 10 if alt == 2 else 16)
 
 
 def _split_args(text: str, what: str, line: int) -> list[str]:
@@ -216,22 +215,20 @@ def _split_args(text: str, what: str, line: int) -> list[str]:
 
     Blank text is an empty list; an empty argument is an error.
     """
-    if not text.strip():
-        return []
-    parts, depth, cur = [], 0, ""
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-            continue
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        cur += ch
-    parts.append(cur)
-    parts = [p.strip() for p in parts]
+    if "[" not in text and "]" not in text:
+        parts = [p.strip() for p in text.split(",")]
+    else:       # a comma inside brackets joins its neighbours
+        parts, depth = [], 0
+        for piece in text.split(","):
+            if depth:
+                parts[-1] += "," + piece
+            else:
+                parts.append(piece)
+            depth += piece.count("[") - piece.count("]")
+        parts = [p.strip() for p in parts]
     if "" in parts:
+        if len(parts) == 1:         # blank text
+            return []
         raise ParseError(f"empty argument in {what}", line)
     return parts
 
@@ -241,7 +238,7 @@ def parse(text: str) -> Program:
     fn: Function | None = None
     block: Block | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split(";", 1)[0].strip()
+        line = (raw.partition(";")[0] if ";" in raw else raw).strip()
         if not line:
             continue
         if fn is None:
@@ -280,12 +277,12 @@ def parse(text: str) -> Program:
             fn = None
             block = None
             continue
-        m = _RE_BLOCK.match(line)
+        m = _RE_BLOCK.match(line) if line[-1] == ":" else None
         if m:
             label = m.group(1)[1:]
-            if label in (b.label for b in fn.blocks):
+            if label in fn._blockmap:
                 raise ParseError(f"duplicate block ^{label}", lineno)
-            block = Block(label)
+            block = fn._blockmap[label] = Block(label)
             fn.blocks.append(block)
             continue
         if block is None:
@@ -293,18 +290,21 @@ def parse(text: str) -> Program:
         block.instrs.append(_parse_instr(line, lineno))
     if fn is not None:
         raise ParseError(f"unterminated function @{fn.name}", lineno)
-    program.renumber()
     return program
 
 
 def _parse_instr(line: str, lineno: int) -> Instr:
-    m = _RE_ASSIGN.match(line)
-    dest, body = (m.group(1)[1:], m.group(2).strip()) if m else (None, line)
-    op, _, rest = body.partition(" ")
+    m = _RE_ASSIGN.match(line) if line[0] == "%" else None
+    if m:
+        dest, op, rest = m.groups("")
+    else:
+        dest = None
+        op, _, rest = line.partition(" ")
     spec = OPS.get(op)
     if spec is None:
         raise ParseError(f"unknown opcode {op!r}", lineno)
-    instr = Instr(op=op, dest=dest, size=spec.size, line=lineno)
+    # Positional: the cheapest way to build one.
+    instr = Instr(op, dest, [], spec.size, 0, [], [], [], None, None, lineno)
     if op in ("call", "extern"):
         cm = _RE_CALLARGS.match(rest.strip())
         if not cm:
@@ -324,7 +324,8 @@ def _parse_instr(line: str, lineno: int) -> Instr:
             if not im:
                 raise ParseError(f"bad phi incoming {part!r}", lineno)
             instr.incomings.append(
-                (_parse_value(im.group(1), op, lineno), im.group(2)[1:]))
+                (_parse_value(im.group(1).strip(), op, lineno),
+                 im.group(2)[1:]))
         if not instr.incomings:
             raise ParseError("phi needs incomings", lineno)
         return instr

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .analysis import CfgInfo
 from .ir import OPS, TERMINATORS, Function, Instr, Program
@@ -29,12 +30,27 @@ def validate(program: Program) -> list[str]:
     return diagnostics
 
 
+class _Facts(NamedTuple):
+    """What one pass over a function's instructions finds."""
+    defs: dict          # value -> Instr | 'param'
+    where: dict         # instruction-defined value -> (block label, index)
+    types: dict         # value -> its type after the first typing pass
+    inferred: list      # defs typed from other values (phi, select, ...)
+    rets: list          # returned operands
+    late: list          # unknown-name diagnostics, reported after entry's
+
+
 def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     # Structural errors come first and alone: without one definition per
     # value and known branch targets, neither a CFG nor the types exist.
     diags: list[str] = []
-    defs = {fn.name: _collect_defs(fn, diags)
-            for fn in program.functions.values()}
+    ret_types: dict = {}
+    # What each referencing op's callee must name, and the word for a miss.
+    known = {"gaddr": ({g.name for g in program.globals}, "unknown global"),
+             "call": (program.functions, "call to unknown function"),
+             "extern": (program.externs, "undeclared extern")}
+    facts = {fn.name: _collect(fn, program, known, ret_types, diags)
+             for fn in program.functions.values()}
     if diags:
         return {}, diags
 
@@ -47,79 +63,86 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
                 diags.append(
                     f"entry parameter %{name} must be int (got {ty})")
 
-    infos = {fn.name: _collect_function(fn, program, defs[fn.name], diags)
-             for fn in program.functions.values()}
-    _infer_types(program, infos, diags)
+    infos = {}
+    for fn in program.functions.values():
+        f = facts[fn.name]
+        diags += f.late
+        cfg = CfgInfo(fn)
+        for block in fn.blocks:
+            if block.label not in cfg.reachable:
+                diags.append(f"@{fn.name} ^{block.label}: unreachable block")
+        infos[fn.name] = FunctionInfo(fn=fn, cfg=cfg, types=f.types,
+                                      defs=f.defs)
+    _infer_types(program, facts, ret_types)
     for info in infos.values():
-        _check_uses(info, program, infos, diags)
+        _check_uses(info, facts[info.fn.name].where, program, diags)
         info.provenance = {v for v, ty in info.types.items() if ty == "ptr"}
     return infos, diags
 
 
-def _collect_defs(fn: Function, diags: list[str]) -> dict:
-    """Map each value to its definition; diagnose structural errors."""
-    defs: dict = {}
-    for name, _ty in fn.params:
+def _collect(fn: Function, program: Program, known: dict, ret_types: dict,
+             diags: list[str]) -> _Facts:
+    """Visit each instruction once: find each value's definition and site,
+    diagnose structural errors, and type values in program order."""
+    f = _Facts({}, {}, {}, [], [], [])
+    defs, where, types = f.defs, f.where, f.types
+    for name, ty in fn.params:
         if name in defs:
             diags.append(f"@{fn.name}: duplicate parameter %{name}")
         defs[name] = "param"
+        types[name] = ty
 
-    labels = {b.label for b in fn.blocks}
+    labels = fn.blockmap()
     for block in fn.blocks:
-        if not block.instrs or block.instrs[-1].op not in TERMINATORS:
+        instrs = block.instrs
+        if not instrs or instrs[-1].op not in TERMINATORS:
             diags.append(f"@{fn.name} ^{block.label}: missing terminator")
+        last = len(instrs) - 1
         seen_non_phi = False
-        for idx, instr in enumerate(block.instrs):
-            if instr.op in TERMINATORS and idx != len(block.instrs) - 1:
-                diags.append(
-                    f"@{fn.name} ^{block.label}: terminator not last "
-                    f"(line {instr.line})")
-            if instr.op == "phi":
-                if seen_non_phi:
+        for idx, instr in enumerate(instrs):
+            op = instr.op
+            if op in TERMINATORS:
+                if idx != last:
                     diags.append(
-                        f"@{fn.name} ^{block.label}: phi after non-phi "
+                        f"@{fn.name} ^{block.label}: terminator not last "
                         f"(line {instr.line})")
-            else:
+                for label in instr.labels:
+                    if label not in labels:
+                        diags.append(
+                            f"@{fn.name}: branch to unknown block ^{label} "
+                            f"(line {instr.line})")
+            if op != "phi":
                 seen_non_phi = True
-            if instr.dest is not None:
-                if instr.dest in defs:
+            elif seen_non_phi:
+                diags.append(
+                    f"@{fn.name} ^{block.label}: phi after non-phi "
+                    f"(line {instr.line})")
+            dest = instr.dest
+            if dest is not None:
+                if dest in defs:
                     diags.append(
-                        f"@{fn.name}: value %{instr.dest} defined twice "
+                        f"@{fn.name}: value %{dest} defined twice "
                         f"(line {instr.line})")
-                defs[instr.dest] = instr
-            for label in instr.labels:
-                if label not in labels:
-                    diags.append(
-                        f"@{fn.name}: branch to unknown block ^{label} "
-                        f"(line {instr.line})")
-    return defs
-
-
-def _collect_function(fn: Function, program: Program, defs: dict,
-                      diags: list[str]) -> FunctionInfo:
-    for instr in fn.instructions():
-        if instr.op == "gaddr" and program.global_named(instr.callee) is None:
-            diags.append(f"@{fn.name}: unknown global @{instr.callee} "
-                         f"(line {instr.line})")
-        if instr.op == "call" and instr.callee not in program.functions:
-            diags.append(f"@{fn.name}: call to unknown function "
-                         f"@{instr.callee} (line {instr.line})")
-        if instr.op == "extern" and instr.callee not in program.externs:
-            diags.append(f"@{fn.name}: undeclared extern @{instr.callee} "
-                         f"(line {instr.line})")
-
-    cfg = CfgInfo(fn)
-    for block in fn.blocks:
-        if block.label not in cfg.reachable:
-            diags.append(f"@{fn.name} ^{block.label}: unreachable block")
-    return FunctionInfo(fn=fn, cfg=cfg, defs=defs)
+                defs[dest] = instr
+                where[dest] = (block.label, idx)
+                ty = OPS[op].result
+                if ty is None:
+                    f.inferred.append(instr)
+                    ty = _result_type(instr, types, ret_types, program)
+                if ty is not None:
+                    types[dest] = ty
+            elif op == "ret" and instr.operands:
+                f.rets.append(instr.operands[0])
+            if op in known and instr.callee not in known[op][0]:
+                f.late.append(f"@{fn.name}: {known[op][1]} @{instr.callee} "
+                              f"(line {instr.line})")
+    _note_ret_type(fn.name, f, ret_types)
+    return f
 
 
 def _result_type(instr: Instr, types: dict, ret_types: dict,
                  program: Program):
-    result = OPS[instr.op].result
-    if result is not None:
-        return result
+    """The type of a value whose op has no fixed result type, if known."""
     if instr.op in ("phi", "select"):
         operands = ([v for v, _ in instr.incomings] if instr.op == "phi"
                     else instr.operands[1:])
@@ -136,128 +159,115 @@ def _result_type(instr: Instr, types: dict, ret_types: dict,
     return None
 
 
-def _infer_types(program: Program, infos: dict[str, FunctionInfo],
-                 diags: list[str]) -> None:
-    ret_types: dict = {}
+def _infer_types(program: Program, facts: dict[str, _Facts],
+                 ret_types: dict) -> None:
+    # After `_collect`'s pass, only the types taken from other values (phi,
+    # select, call, extern) and the return types can change.
     changed = True
     while changed:
         changed = False
-        for info in infos.values():
-            types = info.types
-            for name, ty in info.fn.params:
-                if types.get(name) != ty:
-                    types[name] = ty
-                    changed = True
-            for instr in info.fn.instructions():
-                if instr.dest is None:
-                    continue
+        for name, f in facts.items():
+            types = f.types
+            for instr in f.inferred:
                 ty = _result_type(instr, types, ret_types, program)
                 if ty is not None and types.get(instr.dest) != ty:
                     types[instr.dest] = ty
                     changed = True
-            rt = None
-            for instr in info.fn.instructions():
-                if instr.op != "ret" or not instr.operands:
-                    continue
-                v = instr.operands[0]
-                if isinstance(v, str):
-                    rt = rt or types.get(v)
-                else:
-                    rt = rt or "int"
-            if rt is not None and ret_types.get(info.fn.name) != rt:
-                ret_types[info.fn.name] = rt
-                changed = True
+            changed |= _note_ret_type(name, f, ret_types)
     # Anything still untyped defaults to int (e.g. a phi of literals only).
-    for info in infos.values():
-        for instr in info.fn.instructions():
-            if instr.dest is not None and instr.dest not in info.types:
-                info.types[instr.dest] = "int"
+    for f in facts.values():
+        for instr in f.inferred:
+            f.types.setdefault(instr.dest, "int")
 
 
-def _type_of(info: FunctionInfo, v):
-    if isinstance(v, str):
-        return info.types.get(v)
-    return "literal"
+def _note_ret_type(name: str, f: _Facts, ret_types: dict) -> bool:
+    """Record a function's return type; say whether it changed."""
+    rt = None
+    for v in f.rets:
+        rt = rt or (f.types.get(v) if isinstance(v, str) else "int")
+    if rt is not None and ret_types.get(name) != rt:
+        ret_types[name] = rt
+        return True
+    return False
 
 
 def _expect(info: FunctionInfo, instr: Instr, v, want: str,
             what: str, diags: list[str]) -> None:
-    ty = _type_of(info, v)
     # Literals are polymorphic (null doubles as the zero pointer), and an
     # `any` operand takes either type.
-    if ty == "literal" or want == "any":
-        return
-    if ty != want:
-        diags.append(f"@{info.fn.name}: {what} of {instr.op} must be {want}, "
-                     f"got {ty} (line {instr.line})")
+    if isinstance(v, str) and want != "any":
+        ty = info.types.get(v)
+        if ty != want:
+            diags.append(f"@{info.fn.name}: {what} of {instr.op} must be "
+                         f"{want}, got {ty} (line {instr.line})")
 
 
-def _check_uses(info: FunctionInfo, program: Program,
-                infos: dict[str, FunctionInfo], diags: list[str]) -> None:
-    fn, cfg = info.fn, info.cfg
-    blockmap = fn.blockmap()
+def _check_uses(info: FunctionInfo, where: dict, program: Program,
+                diags: list[str]) -> None:
+    """Diagnose undefined, undominated and ill-typed uses.  A definition at
+    `where` (a, j) dominates a use at (b, i) if a == b and j < i, or if
+    block a dominates block b."""
+    fn, cfg, defs, types = info.fn, info.cfg, info.defs, info.types
     for block in fn.blocks:
-        for instr in block.instrs:
-            for v in instr.values_read():
-                if isinstance(v, str) and v not in info.defs:
-                    diags.append(f"@{fn.name}: use of undefined value %{v} "
-                                 f"(line {instr.line})")
-            if block.label not in cfg.reachable:
+        label = block.label
+        reachable = label in cfg.reachable
+        for idx, instr in enumerate(block.instrs):
+            op = instr.op
+            values = instr.values_read()
+            undominated = None
+            for v in values:
+                site = where.get(v)
+                if site is None:
+                    if isinstance(v, str) and v not in defs:
+                        diags.append(f"@{fn.name}: use of undefined value "
+                                     f"%{v} (line {instr.line})")
+                elif reachable and op != "phi" and not (
+                        site[1] < idx if site[0] == label
+                        else cfg.block_dominates(site[0], label)):
+                    undominated = (undominated or []) + [v]
+            if not reachable:
                 continue
-            _check_dominance(info, block.label, instr, blockmap, diags)
-            _check_instr_types(info, instr, program, infos, diags)
-        if block.label in cfg.reachable:
+            for v in undominated or ():
+                diags.append(f"@{fn.name}: use of %{v} not dominated by its "
+                             f"definition (line {instr.line})")
+            if op == "phi":
+                # The value must dominate the end of the edge's source.
+                for v, pred in instr.incomings:
+                    site = where.get(v)
+                    if (site is not None and site[0] != pred
+                            and pred in cfg.succ
+                            and not cfg.block_dominates(site[0], pred)):
+                        diags.append(
+                            f"@{fn.name}: %{v} does not dominate its phi "
+                            f"edge from ^{pred} (line {instr.line})")
+            for v, (role, kind) in zip(instr.operands, OPS[op].values):
+                if isinstance(v, str) and types.get(v) != kind:
+                    _expect(info, instr, v, kind, role, diags)
+            if op in ("gep", "phi", "call"):
+                _check_instr_types(info, instr, program, diags)
+        if reachable and block.instrs[0].op == "phi":
+            want = sorted(cfg.pred[label])
             for instr in block.instrs:
                 if instr.op == "phi":
-                    want = sorted(cfg.pred[block.label])
                     got = sorted(lbl for _, lbl in instr.incomings)
                     if want != got:
                         diags.append(
-                            f"@{fn.name} ^{block.label}: phi incomings "
+                            f"@{fn.name} ^{label}: phi incomings "
                             f"{got} do not match predecessors {want} "
                             f"(line {instr.line})")
 
 
-def _check_dominance(info: FunctionInfo, label: str, instr: Instr,
-                     blockmap: dict, diags: list[str]) -> None:
-    cfg = info.cfg
-    if instr.op == "phi":
-        for v, pred_label in instr.incomings:
-            if not isinstance(v, str):
-                continue
-            d = info.defs.get(v)
-            if d is None or d == "param" or pred_label not in blockmap:
-                continue
-            pred_term = blockmap[pred_label].instrs[-1]
-            if d is not pred_term and not cfg.dominates(d, pred_term):
-                diags.append(
-                    f"@{info.fn.name}: %{v} does not dominate its phi edge "
-                    f"from ^{pred_label} (line {instr.line})")
-        return
-    for v in instr.values_read():
-        if not isinstance(v, str):
-            continue
-        d = info.defs.get(v)
-        if d is None or d == "param":
-            continue
-        if not cfg.dominates(d, instr):
-            diags.append(f"@{info.fn.name}: use of %{v} not dominated by its "
-                         f"definition (line {instr.line})")
-
-
 def _check_instr_types(info: FunctionInfo, instr: Instr, program: Program,
-                       infos: dict[str, FunctionInfo],
                        diags: list[str]) -> None:
+    """The typing rules of the ops whose operands OPS does not list."""
     op = instr.op
-    for v, (role, kind) in zip(instr.operands, OPS[op].values):
-        _expect(info, instr, v, kind, role, diags)
     if op == "gep":
         for idx, _scale in instr.gep_terms:
             _expect(info, instr, idx, "int", "index", diags)
     elif op == "phi":
-        # An undefined value has no type; its use is diagnosed already.
-        tys = {_type_of(info, v) for v, _ in instr.incomings}
-        tys -= {"literal", None}
+        # Literals take either type; undefined values (diagnosed) have none.
+        tys = {info.types.get(v) for v, _ in instr.incomings
+               if isinstance(v, str)} - {None}
         if len(tys) > 1:
             diags.append(f"@{info.fn.name}: phi mixes {sorted(tys)} "
                          f"(line {instr.line})")

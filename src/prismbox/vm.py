@@ -238,6 +238,9 @@ class VM:
                     updates[dest] = env[incoming[prev]]
                 env.update(updates)
                 self.steps += len(updates)
+                if self.steps > limit:
+                    self.steps = limit + 1    # the phi that crossed it
+                    raise VmError("step limit exceeded")
             for instr, handler, sites in steps:
                 self.steps += 1
                 if self.steps > limit:

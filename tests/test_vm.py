@@ -362,6 +362,17 @@ class TestPlans:
             vm.run()
         assert vm.steps == limit + 1
 
+    @pytest.mark.parametrize("limit", [1, 2, 1000])
+    def test_step_limit_is_exact_on_phis(self, limit):
+        # The limit can be crossed inside a block's phi prefix too.
+        vm = VM(instrument_text("fn @main() {\n^entry:\n  br ^spin\n"
+                                "^spin:\n  %i = phi [0, ^entry], [%j, ^spin]\n"
+                                "  %j = add %i, 1\n  br ^spin\n}\n"),
+                step_limit=limit)
+        with pytest.raises(VmError, match="step limit exceeded"):
+            vm.run()
+        assert vm.steps == limit + 1
+
     @pytest.mark.parametrize("backend", ["checks", "oracle"])
     def test_unset_value_message(self, backend):
         iprog = instrument_text("fn @main() {\n^entry:\n  %x = add 1, 2\n"
