@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .tagging import MASK64, Mode, compute_ea, decode_ea32, pow2_aligned_size
+from .tagging import (CLASS_BIT, LARGE_FRAME_MASK, MASK64, SMALL_FRAME_MASK,
+                      TAG_SHIFT, Mode, compute_ea, decode_ea32,
+                      pow2_aligned_size)
 
 
 class Reason(Enum):
@@ -120,6 +122,28 @@ def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
     if mode.kind == "pow2":
         return bounds_check_2k(ksa, ptr, access_size, mode, stats, skip_lower)
     return bounds_check(ksa, ptr, access_size, mem, stats, skip_lower)
+
+
+def fast_pass(mode: Mode, ksa: str, ptr: str, size: int,
+              skip_lower: bool = False) -> str:
+    """Python source of a test that holds only where `access_check(mode,
+    ksa, ptr, size, ..., skip_lower)` returns PASS: ok, with no SA fetch and
+    no lower-bound XOR.  `ksa` and `ptr` must be names; each is read twice.
+
+    The end is not saturated.  That only matters for an end past MASK64,
+    and such an end passes here only where the saturated end passes too.
+    """
+    k, raw = ksa, f"({ksa} & {mode.mask:#x})"
+    if mode.kind == "pow2":        # bounds_check_2k's XOR
+        upper = f"{raw} ^ ({ptr} + {size}) < 1 << ({k} >> {TAG_SHIFT})"
+    elif mode.kind == "prism32":   # decode_ea32
+        upper = f"{ptr} + {size} <= {k} >> 32"
+    else:                          # compute_ea
+        upper = (f"{ptr} + {size} <= (({k} & {SMALL_FRAME_MASK:#x}) + "
+                 f"({k} >> {TAG_SHIFT}) if {k} < {CLASS_BIT:#x} else "
+                 f"({k} & {LARGE_FRAME_MASK:#x}) + "
+                 f"(({k} >> 31) & 0xFFFF0000))")
+    return upper if skip_lower else f"{upper} and {ptr} >= {raw}"
 
 
 def escape_check(mode: Mode, value: int, ksa: int, mem,

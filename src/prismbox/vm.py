@@ -23,6 +23,25 @@ instruction's check sites for each backend, those that never run already
 left out.  A block is decoded on its first entry, and its plan is cached
 per function on the `InstrumentedProgram` (`iprog.plans`), not on the VM:
 the two runs of one differential, and any repeated run, share one decode.
+
+Blocks run in two tiers.  A backend counts each block's entries on the
+function's plans and, on entry HOT_THRESHOLD, compiles the block with
+`compile()` into one Python function kept with the plans, so
+`InstrumentedProgram.rebuild_index()` drops it with them.  Traced runs stay
+on the interpreter.  A compiled block copies its phis on the edge from
+`prev` at once, then inlines gep, arithmetic, compares, select, mask, br,
+condbr, ret, loads within one mapped page and stores within one written
+page (others call `SimMemory.read_int`/`write_int`); every other op runs
+its handler.
+On `checks`, an executing Access or LoopHoisted site tests
+`checks.fast_pass` inline and, where it holds, only counts the check;
+elsewhere `VM._check_access` decides, counts and aborts as interpreted.
+Escape sites and all `oracle` sites call their handler.  Steps stay exact:
+a block whose phis lack the edge from `prev`, or whose steps up to its
+first call would cross the limit, is run by the interpreter instead, which
+raises.  Otherwise its steps are added to `vm.steps` when it returns or
+raises and before its first call; each later step is counted and tested
+against the limit on its own.
 """
 
 from __future__ import annotations
@@ -30,11 +49,12 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple
 
-from .checks import CheckStats, Reason, access_check, escape_check
-from .heap import (IN_BOUNDS, AllocError, FreeError, SimFault, SimMemory,
-                   classify)
+from .checks import CheckStats, Reason, access_check, escape_check, fast_pass
+from .heap import (IN_BOUNDS, PAGE, AllocError, FreeError, SimFault,
+                   SimMemory, classify)
 from .instrument import EXECUTING, LOWER_DROPPED, InstrumentedProgram
 from .tagging import MASK64
 
@@ -43,9 +63,12 @@ EXIT_BOUNDS = 2
 EXIT_ESCAPE = 3
 
 DEFAULT_STEP_LIMIT = 2_000_000
-# Nested guest calls; each costs two Python frames, so this stays well below
-# Python's default recursion limit of 1000.
+# Nested guest calls; each costs two or three Python frames, so this stays
+# well below Python's default recursion limit of 1000.
 MAX_CALL_DEPTH = 200
+# A backend compiles a block of a function's plans on its HOT_THRESHOLD-th
+# entry.
+HOT_THRESHOLD = 50
 
 
 class VmError(Exception):
@@ -129,12 +152,15 @@ class _Frame(dict):
 
 
 class _FunctionPlans(dict):
-    """One function's block plans by label, each decoded on first entry."""
+    """One function's block plans by label, each decoded on first entry,
+    and for each backend its compiled blocks and block entry counts."""
 
     def __init__(self, iprog: InstrumentedProgram, fn):
         super().__init__()
         self.blocks = fn.blockmap()
         self.site_tables = (iprog.sites_by_instr, iprog.sites_by_origin)
+        self.mode = iprog.mode
+        self.tiers = (({}, {}), ({}, {}))
 
     def __missing__(self, label: str) -> tuple:
         instrs = self.blocks[label].instrs
@@ -159,6 +185,129 @@ class _FunctionPlans(dict):
             steps.append((instr, HANDLERS[instr.op], sites))
         plan = self[label] = (tuple(phis), steps)
         return plan
+
+    def compile_block(self, label: str, which: int):
+        """Block `label` as one function `(vm, env, prev)` that runs the
+        site list `which` of each step; see the module docstring."""
+        phis, steps = self[label]
+        mask, m64, fresh = f"{self.mode.mask:#x}", f"{MASK64:#x}", count()
+        ns = {"VmError": VmError, "_Return": _Return,
+              "from_bytes": int.from_bytes}
+        names, head, out = {}, [], []   # value -> its local; source lines
+
+        def read(v, bind=True):
+            # An unconditional read binds a local that later reads use.
+            if not isinstance(v, str):
+                return str(v & MASK64)
+            if v in names or not bind:
+                return names.get(v, f"env[{v!r}]")
+            names[v] = f"v{next(fresh)}"
+            return f"({names[v]} := env[{v!r}])"
+
+        def define(dest, expr):
+            names[dest] = local = f"v{next(fresh)}"
+            out.append(f"{local} = env[{dest!r}] = {expr}")
+
+        if phis:
+            # The parallel copy of the edge from prev.  An edge that some
+            # phi lacks goes back to the interpreter, which raises on it.
+            targets = [f"v{next(fresh)}" for _ in phis]
+            preds = [p for p in phis[0][1] if all(p in inc for _, inc in phis)]
+            for n, pred in enumerate(preds):
+                head += [f"{'elif' if n else 'if'} prev == {pred!r}:",
+                         f"    {', '.join(targets)} = " + ", ".join(
+                             read(inc[pred], False) for _, inc in phis)]
+            head += ["else:" if preds else "if True:", "    return None"]
+            for (dest, _), local in zip(phis, targets):
+                head.append(f"env[{dest!r}] = {local}")
+                names[dest] = local
+        # i counts the steps taken, added to vm.steps on the way out, up to
+        # the first call, whose callee must see them; from there on each
+        # step is counted and tested against the limit as interpreted.
+        counted, tail = len({dest for dest, _ in phis}), False
+        for j, (instr, handler, sites) in enumerate(steps):
+            op, dest, args, size = (instr.op, instr.dest, instr.operands,
+                                    instr.size)
+            ns[f"I{j}"], ns[f"S{j}"] = instr, sites and sites[which]
+            if tail:
+                out += ["vm.steps += 1", "if vm.steps > vm.step_limit:",
+                        "    raise VmError('step limit exceeded')"]
+            else:
+                counted += 1
+                out.append(f"i = {counted}")
+            if which and sites and sites[1]:
+                out.append(f"vm._oracle_sites(S{j}, I{j}, env)")
+            for n, site in enumerate(sites[0] if sites and not which else ()):
+                if site.kind == "Escape":
+                    out.append(f"vm._check_escape(S{j}[{n}], env)")
+                    continue
+                out.append(f"k = {read(site.ksa)}")
+                if site.kind == "LoopHoisted":
+                    lo, hi = site.window
+                    ptr = f"((k & {mask}) + {lo}) & {m64}"
+                else:
+                    ptr, lo, hi = f"{read(args[0])} & {mask}", 0, site.size
+                    if site.widened:
+                        lo, hi = site.window
+                        ptr = f"({ptr}) - {site.base_offset} + {lo}"
+                guard = fast_pass(self.mode, "k", "p", hi - lo,
+                                  site.status == LOWER_DROPPED)
+                out += [f"p = {ptr}", f"if {guard}:",
+                        "    stats.dynamic_checks += 1",
+                        f"else: vm._check_access(S{j}[{n}], I{j}, env)"]
+            if op in ("load", "loadp", "store", "storep"):
+                out += [f"a = {read(args[0])} & {mask}", "o = a & 0xFFFF",
+                        "g = get(a - o)"]
+                if op[0] == "l":
+                    define(dest, f"from_bytes(g[o:o + {size}], 'little') if "
+                           f"g is not None and o <= {PAGE - size} else "
+                           f"mem.read_int(a, {size})")
+                    continue
+                out += [f"x = {read(args[1])}",
+                        f"if isinstance(g, bytearray) and o <= {PAGE - size}:",
+                        f"    g[o:o + {size}] = (x & {(1 << 8 * size) - 1:#x})"
+                        f".to_bytes({size}, 'little')",
+                        f"else: mem.write_int(a, {size}, x)"]
+                if dest is not None:
+                    define(dest, "0")
+            elif op == "gep":
+                define(dest, f"({read(args[0])} + {instr.gep_const}" + "".join(
+                    f" + {read(v)} * {scale}" for v, scale in instr.gep_terms)
+                       + f") & {m64}")
+            elif op in _ARITH:
+                define(dest, f"({read(args[0])} {_PY_OPS[op]} "
+                       f"{read(args[1])}) & {m64}")
+            elif op in ("icmp", "ptrcmp"):
+                a, b = read(args[0]), read(args[1])
+                if op == "icmp" and instr.cmp not in ("eq", "ne"):
+                    # Flipping the sign bit orders 64-bit values as signed.
+                    a, b = f"({a} ^ {1 << 63:#x})", f"({b} ^ {1 << 63:#x})"
+                define(dest, f"1 if {a} {_PY_OPS[instr.cmp]} {b} else 0")
+            elif op == "select":
+                define(dest, f"{read(args[1], False)} if {read(args[0])} "
+                       f"else {read(args[2], False)}")
+            elif op == "mask":
+                define(dest, f"{read(args[0])} & {mask}")
+            elif op in ("br", "condbr"):
+                then, *other = map(repr, instr.labels)
+                out.append(f"return {then}" if op == "br" else
+                           f"return {then} if {read(args[0])} else {other[0]}")
+            elif op == "ret":
+                out.append(f"return _Return({read(args[0]) if args else None})")
+            else:                       # run by its handler
+                if op == "call" and not tail:
+                    out += ["vm.steps += i", "i = 0"]
+                    tail = True
+                ns[f"H{j}"] = handler
+                out.append(f"H{j}(vm, I{j}, env)")
+                names.pop(dest, None)   # set in env alone
+        src = "\n    ".join(
+            ["def block(vm, env, prev):",
+             f"if vm.steps > vm.step_limit - {counted}: return None", *head,
+             "mem, stats = vm.mem, vm.stats", "get = mem.pages.get", "try:",
+             *("    " + line for line in out), "finally:", "    vm.steps += i"])
+        exec(compile(src, f"<block {label}>", "exec"), ns)
+        return ns.pop("block")      # no cycle through its globals
 
 
 def _signed(v: int) -> int:
@@ -225,29 +374,40 @@ class VM:
             plans = self.iprog.plans[fn.name] = _FunctionPlans(self.iprog, fn)
         mark = self.mem.stack_mark()
         which, run_sites = self._site_index, self._site_handler
-        limit = self.step_limit
+        limit, hot = self.step_limit, HOT_THRESHOLD
+        compiled, entries = plans.tiers[which]
+        if self.tracing:    # traced runs stay on the interpreter
+            compiled, entries, hot = {}, {}, 0
         label, prev = fn.entry.label, None
         while True:
-            phis, steps = plans[label]
-            if phis:
-                # Phis read the environment as of block entry, all at once.
-                updates = {}
-                for dest, incoming in phis:
-                    if prev not in incoming:
-                        raise VmError(f"phi %{dest} has no edge from ^{prev}")
-                    updates[dest] = env[incoming[prev]]
-                env.update(updates)
-                self.steps += len(updates)
-                if self.steps > limit:
-                    self.steps = limit + 1    # the phi that crossed it
-                    raise VmError("step limit exceeded")
-            for instr, handler, sites in steps:
-                self.steps += 1
-                if self.steps > limit:
-                    raise VmError("step limit exceeded")
-                if sites is not None:
-                    run_sites(self, sites[which], instr, env)
-                nxt = handler(self, instr, env)
+            code = compiled.get(label)
+            if code is None:
+                entries[label] = n = entries.get(label, 0) + 1
+                if n == hot:
+                    code = compiled[label] = plans.compile_block(label, which)
+            # A compiled block returns None to be run here instead.
+            if code is None or (nxt := code(self, env, prev)) is None:
+                phis, steps = plans[label]
+                if phis:
+                    # Phis read the environment as of block entry, at once.
+                    updates = {}
+                    for dest, incoming in phis:
+                        if prev not in incoming:
+                            raise VmError(
+                                f"phi %{dest} has no edge from ^{prev}")
+                        updates[dest] = env[incoming[prev]]
+                    env.update(updates)
+                    self.steps += len(updates)
+                    if self.steps > limit:
+                        self.steps = limit + 1    # the phi that crossed it
+                        raise VmError("step limit exceeded")
+                for instr, handler, sites in steps:
+                    self.steps += 1
+                    if self.steps > limit:
+                        raise VmError("step limit exceeded")
+                    if sites is not None:
+                        run_sites(self, sites[which], instr, env)
+                    nxt = handler(self, instr, env)
             if isinstance(nxt, str):
                 prev, label = label, nxt
                 continue
@@ -427,6 +587,10 @@ def _ptrcmp(vm, instr, env):
 
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "ptrsub": operator.sub}
+# The Python operator of each arithmetic op and comparison, for compiled
+# blocks.
+_PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
+           "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def _arith(vm, instr, env):

@@ -1,5 +1,7 @@
 """Bounds-check predicate tests against interval arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,9 @@ from prismbox.checks import (
     bounds_check32,
     bounds_check_2k,
     escape_check,
+    fast_pass,
 )
-from prismbox.heap import SimMemory
+from prismbox.heap import MAX_ALLOC, AllocError, SimMemory
 from prismbox.tagging import MASK64, Mode
 
 
@@ -221,3 +224,60 @@ def test_passing_checks_share_one_outcome():
     assert stats.dynamic_checks == 2 and stats.aborts == 0
     with pytest.raises(AttributeError):
         PASS.ok = False
+
+
+# The stratified sample of the predicate sweep: each mode and q, sizes at
+# the small-size, page, frame and large-slot edges, every access size, with
+# and without the lower-bound test, a KSA at SA and one inside the object.
+GUARD_SIZES = [*range(1, 130), (1 << 16) - 1, 1 << 16, (1 << 16) + 1,
+               (1 << 17) + 1, (1 << 31) + 1]
+ACCESS_SIZES = (0, 1, 2, 4, 8)
+
+
+def first_guard_mismatch(make_guard):
+    """The first case of the sample where the compiled guard
+    `make_guard(mode, asz, skip_lower)` holds but `access_check` does not
+    return PASS, or the reverse; None if there is none."""
+    rng = random.Random(1)
+    for kind in ("prism", "pow2", "prism32"):
+        for q in (0, 8, 32):
+            mode = Mode(kind, q)
+            guards = {(asz, skip): eval(f"lambda k, p: "
+                                        f"{make_guard(mode, asz, skip)}")
+                      for asz in ACCESS_SIZES for skip in (False, True)}
+            # The last small size, and the largest slot a large frame holds.
+            edges = [(1 << 16) - 8 - q + d for d in (-1, 0, 1)]
+            edges.append(MAX_ALLOC - 8 - q)
+            for size in GUARD_SIZES + edges:
+                m = SimMemory(mode)
+                try:
+                    tag = m.alloc(size)
+                except AllocError:      # too large for prism32's space
+                    continue
+                sa = mode.strip(tag)
+                window = range(-40, size + q + 41)
+                offsets = {-1, 0, size - 1, size, size + q, MASK64 - sa - 2,
+                           *rng.sample(window, min(len(window), 24))}
+                for ksa in (tag, tag + 16) if size > 16 else (tag,):
+                    for (asz, skip), guard in guards.items():
+                        for off in offsets:
+                            out = access_check(mode, ksa, sa + off, asz, m,
+                                               None, skip)
+                            if guard(ksa, sa + off) != (out is PASS):
+                                return (kind, q, size, ksa - tag, off, asz,
+                                        skip, out)
+    return None
+
+
+def test_fast_pass_guard_holds_exactly_where_the_check_passes():
+    assert first_guard_mismatch(
+        lambda mode, asz, skip: fast_pass(mode, "k", "p", asz, skip)) is None
+
+
+@pytest.mark.parametrize("fault", ["no_lower_test", "end_one_short"])
+def test_guard_sample_catches_a_planted_fault(fault):
+    def faulty(mode, asz, skip):
+        if fault == "no_lower_test":
+            return fast_pass(mode, "k", "p", asz, True)
+        return fast_pass(mode, "k", "p", asz - 1, skip)
+    assert first_guard_mismatch(faulty) is not None

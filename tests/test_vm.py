@@ -2,8 +2,11 @@
 
 import pytest
 
-from conftest import (RECURSIVE_PIR, corpus_expectations, corpus_text,
-                      instrument_text, run_text)
+from conftest import (FORGED_TAGS, RECURSIVE_PIR, corpus_expectations,
+                      corpus_text, instrument_text, run_text)
+from prismbox import fuzz
+from prismbox import vm as vm_module
+from prismbox.instrument import ELIDED_Q
 from prismbox.oracle import default_allowance
 from prismbox.vm import VM, EXIT_BOUNDS, EXIT_ESCAPE, EXIT_OK, VmError
 
@@ -422,3 +425,166 @@ def _observed(res):
             stats.sa_fetches, stats.xor_lower_paths, stats.aborts,
             stats.fetch_log,
             res.violation.to_dict() if res.violation else None, res.trace)
+
+
+# A threshold no block reaches: every block stays on the interpreter.
+NEVER_HOT = 1 << 62
+DEFAULT_HOT = vm_module.HOT_THRESHOLD
+TIER_MODES = [(kind, q) for kind in ("prism", "pow2", "prism32")
+              for q in (0, 8, 32)]
+
+# Each @main loop block is entered once per iteration: a call, a signed
+# compare, a check that aborts, an unset value and a forged pointer are met
+# inside a hot block.
+CALL_LOOP_PIR = """
+fn @inc(%x: int) {
+^entry:
+  %y = add %x, 1
+  ret %y
+}
+fn @main(%n: int) {
+^entry:
+  br ^loop
+^loop:
+  %i = phi [-3, ^entry], [%i2, ^loop]
+  %s = phi [0, ^entry], [%s2, ^loop]
+  %a = add %s, %i
+  %s2 = call @inc(%a)
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %s2
+}
+"""
+
+ARRAY_LOOP_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 800
+  %cell = alloc 8
+  store %cell, 8, TAG
+  %f = loadp %cell
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %s = phi [0, ^entry], [%s2, ^loop]
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %early = icmp lt %i, 60
+  %x = select %early, %i, %n
+  %r = select %early, %a, %f
+  %w = load %r, 8
+  %s1 = add %s, %v
+  %s2 = add %s1, %x
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %s2
+}
+"""
+
+
+def _tier_outcome(iprog, inputs, backend="checks", trace=False,
+                  step_limit=200_000):
+    allowance = default_allowance if backend == "oracle" else None
+    vm = VM(iprog, backend=backend, allowance=allowance, trace=trace,
+            step_limit=step_limit)
+    try:
+        res = vm.run(list(inputs))
+    except VmError as exc:
+        return "VmError", str(exc), vm.steps
+    return _observed(res) + (len(vm.allowed_events),)
+
+
+def _tiered(monkeypatch, iprog, hot, *args, **kw):
+    """`_tier_outcome` on fresh plans, blocks compiled on entry `hot`."""
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+    iprog.rebuild_index()
+    return _tier_outcome(iprog, *args, **kw)
+
+
+def _array_loop(kind="prism", tag=0, ghost=False):
+    """ARRAY_LOOP_PIR without checks to hoist; from i=60 on it loads
+    through a pointer stored with `tag`, and with `ghost` it reads an unset
+    value instead of %n."""
+    text = ARRAY_LOOP_PIR.replace("TAG", str(tag))
+    iprog = instrument_text(text, kind, opts=())
+    if ghost:
+        select = next(ins for ins in iprog.program.functions["main"]
+                      .block("loop").instrs if ins.dest == "x")
+        select.operands[2] = "ghost"
+    return iprog
+
+
+class TestTiers:
+    @pytest.mark.parametrize("kind,q", TIER_MODES)
+    def test_compiled_blocks_match_the_interpreter(self, monkeypatch, kind,
+                                                   q):
+        programs = [(c["name"], corpus_text(c["file"]), c.get("inputs", []))
+                    for c in corpus_expectations()["cases"]]
+        programs += [(f"mixed-{seed}", *fuzz.generate(seed, "mixed"))
+                     for seed in range(200)]
+        compiled = 0
+        for name, text, inputs in programs:
+            iprog = instrument_text(text, kind, q)
+            outcomes = []
+            for hot in (NEVER_HOT, 1):
+                monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+                iprog.rebuild_index()
+                # Untraced runs first: the traced runs must pass over the
+                # blocks those compiled.
+                outcomes.append([_tier_outcome(iprog, inputs, backend, trace)
+                                 for trace in (False, True)
+                                 for backend in ("checks", "oracle")])
+                compiled += sum(len(p.tiers[0][0]) + len(p.tiers[1][0])
+                                for p in iprog.plans.values())
+            assert outcomes[0] == outcomes[1], name
+        assert compiled > len(programs)
+
+    @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
+    def test_step_limit_in_a_compiled_block(self, monkeypatch, hot):
+        # 9 steps an iteration: 2 phis, 5 steps and the 2 of the callee.
+        iprog = instrument_text(CALL_LOOP_PIR)
+        for limit in [*range(1, 30), *range(440, 470)]:
+            assert (_tiered(monkeypatch, iprog, hot, [100],
+                            step_limit=limit)
+                    == _tiered(monkeypatch, iprog, NEVER_HOT, [100],
+                               step_limit=limit)
+                    == ("VmError", "step limit exceeded", limit + 1))
+
+    @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
+    def test_abort_in_a_compiled_block(self, monkeypatch, kind):
+        iprog = _array_loop(kind)
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [150])
+        assert want[0] == EXIT_BOUNDS and want[2] > 60 * 12
+        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [150]) == want
+
+    @pytest.mark.parametrize("iprog, message", [
+        (lambda: _array_loop(ghost=True), "read of unset value %ghost"),
+        (lambda: _array_loop(tag=FORGED_TAGS["prism"]),
+         "read of unmapped address 0x1000")])
+    def test_vm_error_in_a_compiled_block(self, monkeypatch, iprog, message):
+        iprog = iprog()
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [90])
+        assert want[:2] == ("VmError", message) and want[2] > 60 * 12
+        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [90]) == want
+
+    def test_phi_without_edge_in_a_compiled_block(self, monkeypatch):
+        iprog = instrument_text(SPIN_PIR)
+        phi = iprog.program.functions["main"].block("spin").instrs[0]
+        phi.incomings[1] = ("j", "elsewhere")
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [])
+        assert want[:2] == ("VmError", "phi %i has no edge from ^spin")
+        assert _tiered(monkeypatch, iprog, 1, []) == want
+
+    def test_rebuild_index_drops_compiled_blocks(self):
+        iprog = _array_loop()
+        before = VM(iprog).run([55]).check_stats.dynamic_checks
+        assert iprog.plans["main"].tiers[0][0]     # the loop was compiled
+        (site,) = [s for s in iprog.sites if s.origin.dest == "v"]
+        site.status = ELIDED_Q
+        iprog.rebuild_index()
+        after = VM(iprog).run([55]).check_stats.dynamic_checks
+        assert before - after == 55
