@@ -1,8 +1,12 @@
-"""Dynamic bounds-check predicates and their counters.
+"""The dynamic bounds check and its counters.
 
-All predicates compare raw (untagged) addresses; the tagged KSA is kept
-only to reconstruct the end address from its tag area.  The start address
-is fetched from memory only on the rare ptr < ksa path.
+One predicate, `access_check`, serves every mode.  Each mode's upper-bound
+test is one Python source text, `_upper`: prism decodes the EA from the
+tag, prism32 reads it from the tag area, pow2 XORs the end against the
+aligned size.  `access_check` runs it compiled once per mode and
+`fast_pass` writes it into the VM's compiled blocks.  Only below the KSA
+do prism and prism32 fetch the SA stored after the EA, and pow2 XOR the
+pointer.  Addresses are compared raw (untagged).
 """
 
 from __future__ import annotations
@@ -10,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .tagging import (CLASS_BIT, LARGE_FRAME_MASK, MASK64, SMALL_FRAME_MASK,
-                      TAG_SHIFT, Mode, compute_ea, decode_ea32,
-                      pow2_aligned_size)
+from .tagging import (CLASS_BIT, LARGE_FRAME_MASK, MASK64, MODE_KINDS,
+                      SMALL_FRAME_MASK, TAG_SHIFT, Mode, compute_ea,
+                      decode_ea32, pow2_aligned_size)
 
 
 class Reason(Enum):
@@ -54,37 +58,67 @@ class CheckStats:
             self.aborts += 1
 
 
-def bounds_check(ksa: int, ptr: int, access_size: int, mem,
+def _upper(mode: Mode, k: str, end: str) -> str:
+    """Python source of the mode's upper-bound test: the access ending at
+    `end` (exclusive) stays within the object that KSA `k` tags.  `k` must
+    be a name; it is read more than once."""
+    if mode.kind == "pow2":        # XOR against the aligned size
+        return (f"({k} & {mode.mask:#x}) ^ {end} < "
+                f"1 << ({k} >> {TAG_SHIFT})")
+    if mode.kind == "prism32":     # the EA sits in the tag area
+        return f"{end} <= {k} >> 32"
+    # prism: the EA from the frame-relative tag offset
+    return (f"{end} <= (({k} & {SMALL_FRAME_MASK:#x}) + ({k} >> {TAG_SHIFT})"
+            f" if {k} < {CLASS_BIT:#x} else ({k} & {LARGE_FRAME_MASK:#x}) + "
+            f"(({k} >> 31) & 0xFFFF0000))")
+
+
+# The upper-bound test of each mode kind as a function (ksa, end) -> bool.
+_UPPER = {kind: eval(f"lambda k, end: {_upper(Mode(kind), 'k', 'end')}")
+          for kind in MODE_KINDS}
+
+
+def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
                  stats: CheckStats | None = None,
                  skip_lower: bool = False) -> CheckOutcome:
-    """Prism predicate: end-exclusive upper bound against the EA in the tag.
-
-    prism reconstructs the EA from the frame-relative tag; prism32 reads it
-    straight from the tag area.
-    """
-    mode = mem.mode
-    ea = decode_ea32(ksa) if mode.kind == "prism32" else compute_ea(ksa)
-    ksa_raw = ksa & mode.mask
+    """Check `access_size` bytes at raw `ptr` against the object tagged
+    `ksa`; `mem` is read only for the SA fetch (pow2 may pass None)."""
     # 64-bit saturation: wrapping could only turn an abort into a pass.
     end = ptr + access_size
     if end > MASK64:
         end = MASK64
-    if end > ea:
+    ksa_raw = ksa & mode.mask
+    if not _UPPER[mode.kind](ksa, end):
         outcome = CheckOutcome(False, Reason.UPPER_BOUND)
-    elif not skip_lower and ptr < ksa_raw:
+    elif skip_lower or ptr >= ksa_raw:
+        if stats is not None:
+            stats.dynamic_checks += 1
+        return PASS
+    elif mode.kind == "pow2":
+        # The ptr < ksa guard skips the lower-bound XOR on the common path.
+        if (ksa_raw ^ ptr) >= pow2_aligned_size(ksa):
+            outcome = CheckOutcome(False, Reason.LOWER_BOUND, xor_lower=True)
+        else:
+            outcome = CheckOutcome(True, xor_lower=True)
+    else:
+        ea = decode_ea32(ksa) if mode.kind == "prism32" else compute_ea(ksa)
         if ptr < mem.read_sa(ea):
             outcome = CheckOutcome(False, Reason.LOWER_BOUND, sa_fetched=True)
         else:
             outcome = CheckOutcome(True, sa_fetched=True)
         if stats is not None and len(stats.fetch_log) < FETCH_LOG_LIMIT:
             stats.fetch_log.append((ptr, ksa_raw))
-    else:
-        if stats is not None:
-            stats.dynamic_checks += 1
-        return PASS
     if stats is not None:
         stats.note(outcome)
     return outcome
+
+
+def bounds_check(ksa: int, ptr: int, access_size: int, mem,
+                 stats: CheckStats | None = None,
+                 skip_lower: bool = False) -> CheckOutcome:
+    """`access_check` in the mode of `mem` (prism or prism32)."""
+    return access_check(mem.mode, ksa, ptr, access_size, mem, stats,
+                        skip_lower)
 
 
 bounds_check32 = bounds_check   # the prism32 name; the mode picks the decoder
@@ -93,35 +127,8 @@ bounds_check32 = bounds_check   # the prism32 name; the mode picks the decoder
 def bounds_check_2k(ksa: int, ptr: int, access_size: int, mode: Mode,
                     stats: CheckStats | None = None,
                     skip_lower: bool = False) -> CheckOutcome:
-    """pow2 predicate: XOR against the aligned size; no memory access ever."""
-    aligned = pow2_aligned_size(ksa)
-    ksa_raw = ksa & mode.mask
-    end = ptr + access_size
-    if end > MASK64:    # saturated, as in bounds_check
-        end = MASK64
-    if (ksa_raw ^ end) >= aligned:
-        outcome = CheckOutcome(False, Reason.UPPER_BOUND)
-    elif not skip_lower and ptr < ksa_raw:
-        # The ptr < ksa guard skips the lower-bound XOR on the common path.
-        if (ksa_raw ^ ptr) >= aligned:
-            outcome = CheckOutcome(False, Reason.LOWER_BOUND, xor_lower=True)
-        else:
-            outcome = CheckOutcome(True, xor_lower=True)
-    else:
-        if stats is not None:
-            stats.dynamic_checks += 1
-        return PASS
-    if stats is not None:
-        stats.note(outcome)
-    return outcome
-
-
-def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
-                 stats: CheckStats | None = None,
-                 skip_lower: bool = False) -> CheckOutcome:
-    if mode.kind == "pow2":
-        return bounds_check_2k(ksa, ptr, access_size, mode, stats, skip_lower)
-    return bounds_check(ksa, ptr, access_size, mem, stats, skip_lower)
+    """`access_check` in pow2 `mode`, which needs no memory."""
+    return access_check(mode, ksa, ptr, access_size, None, stats, skip_lower)
 
 
 def fast_pass(mode: Mode, ksa: str, ptr: str, size: int,
@@ -133,17 +140,10 @@ def fast_pass(mode: Mode, ksa: str, ptr: str, size: int,
     The end is not saturated.  That only matters for an end past MASK64,
     and such an end passes here only where the saturated end passes too.
     """
-    k, raw = ksa, f"({ksa} & {mode.mask:#x})"
-    if mode.kind == "pow2":        # bounds_check_2k's XOR
-        upper = f"{raw} ^ ({ptr} + {size}) < 1 << ({k} >> {TAG_SHIFT})"
-    elif mode.kind == "prism32":   # decode_ea32
-        upper = f"{ptr} + {size} <= {k} >> 32"
-    else:                          # compute_ea
-        upper = (f"{ptr} + {size} <= (({k} & {SMALL_FRAME_MASK:#x}) + "
-                 f"({k} >> {TAG_SHIFT}) if {k} < {CLASS_BIT:#x} else "
-                 f"({k} & {LARGE_FRAME_MASK:#x}) + "
-                 f"(({k} >> 31) & 0xFFFF0000))")
-    return upper if skip_lower else f"{upper} and {ptr} >= {raw}"
+    upper = _upper(mode, ksa, f"({ptr} + {size})")
+    if skip_lower:
+        return upper
+    return f"{upper} and {ptr} >= ({ksa} & {mode.mask:#x})"
 
 
 def escape_check(mode: Mode, value: int, ksa: int, mem,

@@ -29,9 +29,6 @@ class FuzzConfig:
     name: str = "mixed"
     max_allocs: int = 3
     max_ops: int = 8
-    allow_loops: bool = True
-    allow_calls: bool = True
-    allow_externs: bool = True
 
     @property
     def oob_chance(self) -> float:
@@ -159,7 +156,7 @@ class _Builder:
 
     def op_loop(self) -> None:
         obj = self.pick_obj(8)
-        if obj is None or not self.cfg.allow_loops:
+        if obj is None:
             return
         name, size = obj
         asz = self.rng.choice((1, 4, 8))
@@ -222,7 +219,7 @@ class _Builder:
 
     def op_call(self) -> None:
         obj = self.pick_obj(8)
-        if obj is None or not self.cfg.allow_calls:
+        if obj is None:
             return
         name, _ = obj
         self.used_helpers = True
@@ -234,7 +231,7 @@ class _Builder:
             self.emit(f"call @poke({name}, {self.rng.randrange(0, 999)})")
 
     def op_copy(self) -> None:
-        if not self.cfg.allow_externs or len(self.objs) < 2:
+        if len(self.objs) < 2:
             return
         (a, sa), (b, sb) = self.rng.sample(self.objs, 2)
         n = self.rng.randrange(1, min(sa, sb) + 1)
@@ -243,7 +240,7 @@ class _Builder:
 
     def op_pure(self) -> None:
         obj = self.pick_obj(1)
-        if obj is None or not self.cfg.allow_externs:
+        if obj is None:
             return
         self.used_pure = True
         out = self.fresh()
@@ -304,8 +301,6 @@ class _Builder:
         self.emit(f"storep {cell[0]}, {bad}")
 
     def _oob_copy(self) -> None:
-        if not self.cfg.allow_externs:
-            return self._oob_overshoot()
         obj = self.pick_obj(8)
         if obj is None:
             return

@@ -236,6 +236,9 @@ class SimMemory:
     def alloc_large(self, size: int) -> int:
         need = size + self.q + 8
         slot = _align_up(need, PAGE)
+        if slot >= 1 << 32:     # the EA would be the next frame's base
+            raise AllocError(f"size {size} with q={self.q} and its SA "
+                             f"needs a whole 4GB frame")
         frame = self._large_frames.get(slot)
         if frame is None or frame.next_slot >= frame.slot_cap:
             if self._next_large + (1 << 32) > ADDR_MASK:

@@ -27,21 +27,21 @@ the two runs of one differential, and any repeated run, share one decode.
 Blocks run in two tiers.  A backend counts each block's entries on the
 function's plans and, on entry HOT_THRESHOLD, compiles the block with
 `compile()` into one Python function kept with the plans, so
-`InstrumentedProgram.rebuild_index()` drops it with them.  Traced runs stay
-on the interpreter.  A compiled block copies its phis on the edge from
-`prev` at once, then inlines gep, arithmetic, compares, select, mask, br,
-condbr, ret, loads within one mapped page and stores within one written
-page (others call `SimMemory.read_int`/`write_int`); every other op runs
-its handler.
+`InstrumentedProgram.rebuild_index()` drops it with them.  A block that
+holds a call, and every block of a traced run, stays on the interpreter.
+A compiled block copies its phis on the edge from `prev` at once, then
+inlines gep, arithmetic, compares, select, mask, br, condbr, ret, loads
+within one mapped page and stores within one written page (others call
+`SimMemory.read_int`/`write_int`); every other op runs its handler.
 On `checks`, an executing Access or LoopHoisted site tests
-`checks.fast_pass` inline and, where it holds, only counts the check;
+`checks.fast_pass` inline on the window that `_window` gives, as
+`VM._check_access` does, and where it holds only counts the check;
 elsewhere `VM._check_access` decides, counts and aborts as interpreted.
-Escape sites and all `oracle` sites call their handler.  Steps stay exact:
-a block whose phis lack the edge from `prev`, or whose steps up to its
-first call would cross the limit, is run by the interpreter instead, which
-raises.  Otherwise its steps are added to `vm.steps` when it returns or
-raises and before its first call; each later step is counted and tested
-against the limit on its own.
+Escape sites and all `oracle` sites call their handler.  Steps stay exact
+under one contract: a block whose phis lack the edge from `prev`, or whose
+steps would cross the limit, is run by the interpreter instead, which
+raises; otherwise its steps are added to `vm.steps` when it returns or
+raises.
 """
 
 from __future__ import annotations
@@ -52,7 +52,8 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import NamedTuple
 
-from .checks import CheckStats, Reason, access_check, escape_check, fast_pass
+from .checks import (CheckOutcome, CheckStats, Reason, access_check,
+                     escape_check, fast_pass)
 from .heap import (IN_BOUNDS, PAGE, AllocError, FreeError, SimFault,
                    SimMemory, classify)
 from .instrument import EXECUTING, LOWER_DROPPED, InstrumentedProgram
@@ -63,8 +64,8 @@ EXIT_BOUNDS = 2
 EXIT_ESCAPE = 3
 
 DEFAULT_STEP_LIMIT = 2_000_000
-# Nested guest calls; each costs two or three Python frames, so this stays
-# well below Python's default recursion limit of 1000.
+# Nested guest calls; each costs two Python frames (`VM._call` and `_call`),
+# so this stays well below Python's default recursion limit of 1000.
 MAX_CALL_DEPTH = 200
 # A backend compiles a block of a function's plans on its HOT_THRESHOLD-th
 # entry.
@@ -188,8 +189,10 @@ class _FunctionPlans(dict):
 
     def compile_block(self, label: str, which: int):
         """Block `label` as one function `(vm, env, prev)` that runs the
-        site list `which` of each step; see the module docstring."""
+        site list `which` of each step, or None if the block holds a call."""
         phis, steps = self[label]
+        if any(instr.op == "call" for instr, _, _ in steps):
+            return None
         mask, m64, fresh = f"{self.mode.mask:#x}", f"{MASK64:#x}", count()
         ns = {"VmError": VmError, "_Return": _Return,
               "from_bytes": int.from_bytes}
@@ -221,20 +224,14 @@ class _FunctionPlans(dict):
             for (dest, _), local in zip(phis, targets):
                 head.append(f"env[{dest!r}] = {local}")
                 names[dest] = local
-        # i counts the steps taken, added to vm.steps on the way out, up to
-        # the first call, whose callee must see them; from there on each
-        # step is counted and tested against the limit as interpreted.
-        counted, tail = len({dest for dest, _ in phis}), False
+        # i counts the steps taken, added to vm.steps on the way out.
+        counted = len({dest for dest, _ in phis})
         for j, (instr, handler, sites) in enumerate(steps):
             op, dest, args, size = (instr.op, instr.dest, instr.operands,
                                     instr.size)
             ns[f"I{j}"], ns[f"S{j}"] = instr, sites and sites[which]
-            if tail:
-                out += ["vm.steps += 1", "if vm.steps > vm.step_limit:",
-                        "    raise VmError('step limit exceeded')"]
-            else:
-                counted += 1
-                out.append(f"i = {counted}")
+            counted += 1
+            out.append(f"i = {counted}")
             if which and sites and sites[1]:
                 out.append(f"vm._oracle_sites(S{j}, I{j}, env)")
             for n, site in enumerate(sites[0] if sites and not which else ()):
@@ -242,15 +239,13 @@ class _FunctionPlans(dict):
                     out.append(f"vm._check_escape(S{j}[{n}], env)")
                     continue
                 out.append(f"k = {read(site.ksa)}")
-                if site.kind == "LoopHoisted":
-                    lo, hi = site.window
-                    ptr = f"((k & {mask}) + {lo}) & {m64}"
-                else:
-                    ptr, lo, hi = f"{read(args[0])} & {mask}", 0, site.size
-                    if site.widened:
-                        lo, hi = site.window
-                        ptr = f"({ptr}) - {site.base_offset} + {lo}"
-                guard = fast_pass(self.mode, "k", "p", hi - lo,
+                value, offset, span, wraps = _window(site, instr)
+                ptr = f"{read(value)} & {mask}"
+                if offset:
+                    ptr = f"({ptr}) + {offset}"
+                if wraps:
+                    ptr = f"({ptr}) & {m64}"
+                guard = fast_pass(self.mode, "k", "p", span,
                                   site.status == LOWER_DROPPED)
                 out += [f"p = {ptr}", f"if {guard}:",
                         "    stats.dynamic_checks += 1",
@@ -295,9 +290,6 @@ class _FunctionPlans(dict):
             elif op == "ret":
                 out.append(f"return _Return({read(args[0]) if args else None})")
             else:                       # run by its handler
-                if op == "call" and not tail:
-                    out += ["vm.steps += i", "i = 0"]
-                    tail = True
                 ns[f"H{j}"] = handler
                 out.append(f"H{j}(vm, I{j}, env)")
                 names.pop(dest, None)   # set in env alone
@@ -308,6 +300,22 @@ class _FunctionPlans(dict):
              *("    " + line for line in out), "finally:", "    vm.steps += i"])
         exec(compile(src, f"<block {label}>", "exec"), ns)
         return ns.pop("block")      # no cycle through its globals
+
+
+def _window(site, instr) -> tuple:
+    """The window that an Access or LoopHoisted site at `instr` checks, as
+    `(value, offset, span, wraps)`: `span` bytes from `(value & mask) +
+    offset`, a sum taken modulo 2^64 where `wraps`."""
+    if site.kind == "LoopHoisted":
+        # One check of the loop's whole window, from the KSA.
+        lo, hi = site.window
+        return site.ksa, lo, hi - lo, True
+    if site.widened:
+        # Combined check: re-anchor the pointer at the merged window's low
+        # edge and check the whole hull at once.
+        lo, hi = site.window
+        return instr.operands[0], lo - site.base_offset, hi - lo, False
+    return instr.operands[0], 0, site.size, False
 
 
 def _signed(v: int) -> int:
@@ -441,18 +449,10 @@ class VM:
     def _check_access(self, site, instr, env) -> None:
         mask = self.mode.mask
         ksa = env[site.ksa]
-        size = site.size
-        if site.kind == "LoopHoisted":
-            # One check of the loop's whole window, from the KSA.
-            lo, hi = site.window
-            ptr, size = ((ksa & mask) + lo) & MASK64, hi - lo
-        else:
-            ptr = env[instr.operands[0]] & mask
-            if site.widened:
-                # Combined check: re-anchor the pointer at the merged
-                # window's low edge and check the whole hull at once.
-                lo, hi = site.window
-                ptr, size = ptr - site.base_offset + lo, hi - lo
+        value, offset, size, wraps = _window(site, instr)
+        ptr = (env[value] & mask) + offset
+        if wraps:
+            ptr &= MASK64
         outcome = access_check(self.mode, ksa, ptr, size, self.mem,
                                self.stats, site.status == LOWER_DROPPED)
         if self.tracing:
@@ -466,11 +466,9 @@ class VM:
             # valid tag; the site aborts without consulting the predicate
             # (whose decoding of an arbitrary bit pattern is meaningless).
             raw = self.mode.strip(site.escape_value & MASK64)
-            self.stats.dynamic_checks += 1
-            raise _Abort(ViolationReport(
-                exit_code=EXIT_ESCAPE, reason=Reason.ESCAPE_INVARIANT.value,
-                kind=site.kind, sid=site.sid, fn=site.fn,
-                line=site.origin.line, ksa=raw, ptr=raw, size=0))
+            outcome = CheckOutcome(False, Reason.ESCAPE_INVARIANT)
+            self.stats.note(outcome)
+            self._abort(site, outcome, raw, raw)
         value = env[site.escape_value]
         ksa = env[site.ksa]
         outcome = escape_check(self.mode, value, ksa, self.mem,

@@ -12,10 +12,20 @@ from pathlib import Path
 import pytest
 
 import prismbox
+from prismbox import vm as vm_module
 from prismbox.instrument import ALL_OPTS, instrument
 from prismbox.ir import parse
 from prismbox.tagging import Mode
 from prismbox.vm import VM
+
+
+@pytest.fixture(autouse=True)
+def hot_threshold_from_env(monkeypatch):
+    """PRISMBOX_TEST_HOT_THRESHOLD=N sets `vm.HOT_THRESHOLD` to N for each
+    test; N=1 compiles every block on its first entry."""
+    hot = os.environ.get("PRISMBOX_TEST_HOT_THRESHOLD")
+    if hot:
+        monkeypatch.setattr(vm_module, "HOT_THRESHOLD", int(hot))
 
 
 # @main(n) recurses n calls deep and returns n.

@@ -16,6 +16,7 @@ from conftest import (
     python_isolated,
 )
 from prismbox.cli import load_corpus, main, run_corpus_case
+from prismbox.heap import MAX_ALLOC
 
 
 @pytest.fixture
@@ -189,6 +190,20 @@ def test_forged_pointer_exits_1_without_traceback(pir, capsys, mode):
     assert main(["run", path, "--mode", mode]) == 1
     err = capsys.readouterr().err
     assert "unmapped address 0x1000" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("q", [0, 8])
+def test_largest_allocation_exits_0_or_1_without_traceback(pir, capsys, q):
+    # A prism object, its q padding and its 8-byte SA must fit one 4GB
+    # frame: MAX_ALLOC - q - 8 bytes runs and one byte more is a VM error.
+    fits = MAX_ALLOC - q - 8
+    for size, code in [(fits, 0), (fits + 1, 1)]:
+        path = pir("big.pir", f"fn @main() {{\n^entry:\n  %a = alloc {size}"
+                              f"\n  ret 0\n}}\n")
+        assert main(["run", path, "--qpad", str(q)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert code == 0 or "4GB frame" in err
 
 
 # Runs `python -c CODE ARGS` in a child of its own and prints the child's

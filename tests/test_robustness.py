@@ -7,9 +7,10 @@ of Csmith (Yang et al., PLDI 2011): a Hypothesis strategy that writes
 `@main` bodies straight from the `ir.OPS` grammar, and small mutations of
 `fuzz.generate` programs.
 
-Allocation sizes stay at or below 2^17 bytes: the simulated heap zero-fills
-every page of an allocation at once, so a multi-gigabyte allocation would
-exhaust the host before it could fail.
+Allocation sizes stay at or below 2^17 bytes.  Pages are mapped lazily, so
+a large allocation alone is cheap, but an `extern @copy` reads and writes
+its whole length at once: a multi-gigabyte copy would exhaust the host
+before it could fail.
 """
 
 from __future__ import annotations

@@ -220,6 +220,16 @@ fn @main() {
         assert line.startswith("[sid ")
         assert "access @main" in line and line.endswith("-> ok")
 
+    def test_literal_escape_abort_is_counted(self):
+        # A literal escapes without the predicate; its abort counts as the
+        # predicate's escape abort does.
+        literal, _, _ = run_text("fn @main() {\n^entry:\n  %c = alloc 8\n"
+                                 "  storep %c, 1\n  ret 0\n}\n", opts=())
+        predicate, _, _ = run_text(corpus_text("end_escape.pir"))
+        for res in (literal, predicate):
+            assert res.exit_code == EXIT_ESCAPE
+            assert res.check_stats.aborts == 1
+
 
 class TestExternBoundary:
     def test_copy_contract_ok(self):
@@ -433,9 +443,9 @@ DEFAULT_HOT = vm_module.HOT_THRESHOLD
 TIER_MODES = [(kind, q) for kind in ("prism", "pow2", "prism32")
               for q in (0, 8, 32)]
 
-# Each @main loop block is entered once per iteration: a call, a signed
-# compare, a check that aborts, an unset value and a forged pointer are met
-# inside a hot block.
+# Each @main loop block is entered once per iteration: a signed compare, a
+# check that aborts, an unset value and a forged pointer are met inside a
+# hot block.  CALL_LOOP_PIR's loop holds a call, so it stays interpreted.
 CALL_LOOP_PIR = """
 fn @inc(%x: int) {
 ^entry:
@@ -484,6 +494,80 @@ fn @main(%n: int) {
   ret %s2
 }
 """
+
+
+# The last of n calls hands @sum4 an object 8 bytes short of the 32 bytes
+# its hoisted loop window covers (pow2 aligns 24 up to 32, the window's
+# end).  @sum4's entry block holds the hoisted check.
+HOISTED_CALLS_PIR = """
+fn @sum4(%a: ptr) {
+^entry:
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^body]
+  %s = phi [0, ^entry], [%s2, ^body]
+  %c = icmp lt %i, 4
+  condbr %c, ^body, ^done
+^body:
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %s2 = add %s, %v
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret %s
+}
+fn @main(%n: int) {
+^entry:
+  br ^loop
+^loop:
+  %k = phi [1, ^entry], [%k2, ^loop]
+  %t = phi [0, ^entry], [%t2, ^loop]
+  %last = icmp eq %k, %n
+  %size = select %last, 24, 32
+  %a = alloc %size
+  %r = call @sum4(%a)
+  %t2 = add %t, %r
+  %k2 = add %k, 1
+  %c = icmp le %k2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %t2
+}
+"""
+
+# Two loads at %i*8 + FIRST and %i*8 + SECOND share one check of their
+# widened 16-byte window; at i=62 that window ends 8 bytes past %a.
+WIDENED_LOOP_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 504
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %s = phi [0, ^entry], [%s2, ^loop]
+  %p = gep %a, %i*8, FIRST
+  %v = load %p, 8
+  %q = gep %a, %i*8, SECOND
+  %w = load %q, 8
+  %s1 = add %s, %v
+  %s2 = add %s1, %w
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %s2
+}
+"""
+
+# shape -> (program, input, the function and block that hold the check)
+WINDOW_ABORTS = {
+    "hoisted": (HOISTED_CALLS_PIR, 60, "sum4", "entry"),
+    "widened": (WIDENED_LOOP_PIR.replace("FIRST", "0")
+                .replace("SECOND", "8"), 63, "main", "loop"),
+    "widened_reanchored": (WIDENED_LOOP_PIR.replace("FIRST", "8")
+                           .replace("SECOND", "0"), 63, "main", "loop"),
+}
 
 
 def _tier_outcome(iprog, inputs, backend="checks", trace=False,
@@ -553,6 +637,38 @@ class TestTiers:
                     == _tiered(monkeypatch, iprog, NEVER_HOT, [100],
                                step_limit=limit)
                     == ("VmError", "step limit exceeded", limit + 1))
+
+    @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
+    def test_step_limit_in_a_call_free_compiled_block(self, monkeypatch,
+                                                      hot):
+        # CALL_LOOP_PIR without its call: 7 steps an iteration, 2 of them
+        # phis.  The limit lands on each step of the first iterations, of
+        # the last ones, and at and past the run's end.
+        iprog = instrument_text(CALL_LOOP_PIR.replace("call @inc(%a)",
+                                                      "add %a, 1"))
+        total = _tiered(monkeypatch, iprog, NEVER_HOT, [60])[2]
+        for limit in [*range(1, 30), *range(total - 30, total + 2)]:
+            want = _tiered(monkeypatch, iprog, NEVER_HOT, [60],
+                           step_limit=limit)
+            assert want[2] == min(limit + 1, total)
+            assert _tiered(monkeypatch, iprog, hot, [60],
+                           step_limit=limit) == want
+        assert iprog.plans["main"].tiers[0][0]["loop"] is not None
+
+    @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
+    @pytest.mark.parametrize("shape", sorted(WINDOW_ABORTS))
+    def test_window_abort_in_a_compiled_block(self, monkeypatch, shape,
+                                              kind):
+        text, n, fn, label = WINDOW_ABORTS[shape]
+        iprog = instrument_text(text, kind)
+        (site,) = [s for s in iprog.sites if s.executes]
+        assert site.widened and site.kind == ("LoopHoisted"
+                                              if shape == "hoisted"
+                                              else "Access")
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [n])
+        assert want[0] == EXIT_BOUNDS and want[8]["sid"] == site.sid
+        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [n]) == want
+        assert iprog.plans[fn].tiers[0][0][label] is not None
 
     @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
     def test_abort_in_a_compiled_block(self, monkeypatch, kind):
