@@ -17,16 +17,15 @@ from .instrument import ALL_OPTS, instrument
 from .ir import ParseError, parse
 from .oracle import differential_on
 from .stats import build_report
-from .tagging import Mode
+from .tagging import MODE_KINDS, Mode
 from .verify import ValidationError
 from .vm import VM, VmError
 
 EXIT_PARSE = 4
-MODES = ("prism", "pow2", "prism32")
 
 
 def _mode_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--mode", choices=MODES, default="prism")
+    sub.add_argument("--mode", choices=MODE_KINDS, default="prism")
     sub.add_argument("--qpad", type=int, default=0, metavar="N",
                      help="padding bytes between object end and metadata")
     group = sub.add_mutually_exclusive_group()
@@ -36,12 +35,14 @@ def _mode_args(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--no-opt", dest="opt", action="store_const", const="")
 
 
-def _opts_from(args) -> tuple:
-    if args.opt in ("", None):
-        return ()
-    if args.opt == "all":
+def parse_opts(spec: str) -> tuple:
+    """The passes that `--opt`, or a corpus run's "opt", names: "all",
+    "none", or a comma-separated list."""
+    if spec == "all":
         return ALL_OPTS
-    opts = tuple(part.strip() for part in args.opt.split(",") if part.strip())
+    if spec == "none":
+        return ()
+    opts = tuple(part.strip() for part in spec.split(",") if part.strip())
     unknown = [o for o in opts if o not in ALL_OPTS]
     if unknown:
         raise SystemExit(f"error: unknown optimization {unknown[0]!r} "
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instrumented(text: str, args):
     mode = Mode(args.mode, args.qpad)
     program = parse(text)
-    return instrument(program, mode, _opts_from(args))
+    return instrument(program, mode, parse_opts(args.opt))
 
 
 def cmd_run(args) -> int:
@@ -171,21 +172,13 @@ def _check_expectations(case_name: str, run: dict, result, iprog,
                         f"{expect['sa_fetches_min']}")
 
 
-def corpus_opts(run: dict) -> tuple:
-    opt = run.get("opt", "all")
-    if opt in (True, "all"):
-        return ALL_OPTS
-    if opt in (False, "", "none"):
-        return ()
-    return tuple(opt) if isinstance(opt, list) else (opt,)
-
-
 def run_corpus_case(case: dict, matrix: bool = False) -> list[str]:
     """Execute every configured run of a corpus case; return failures."""
     failures: list[str] = []
     for run in case["runs"]:
         mode = Mode(run.get("mode", "prism"), run.get("q", 0))
-        iprog = instrument(parse(case["text"]), mode, corpus_opts(run))
+        opts = parse_opts(run.get("opt", "all"))
+        iprog = instrument(parse(case["text"]), mode, opts)
         vm = VM(iprog, backend="checks")
         result = vm.run(run.get("inputs", case.get("inputs", [])))
         before = len(failures)
@@ -227,7 +220,7 @@ def cmd_corpus(args) -> int:
 def cmd_fuzz(args) -> int:
     mode = Mode(args.mode, args.qpad)
     summary = campaign(args.seed, args.count, mode, args.config,
-                       opts=_opts_from(args), out_dir=args.out,
+                       opts=parse_opts(args.opt), out_dir=args.out,
                        workers=args.workers)
     print(json.dumps(summary, indent=2))
     return 1 if summary["mismatches"] else 0

@@ -60,8 +60,7 @@ class _Builder:
         self.blocks: list[tuple[str, list[str]]] = []
         self.nblock = 0
         self.nval = 0
-        self.objs: list[tuple[str, int]] = []   # (value name, size)
-        self.cells: list[tuple[str, int]] = []  # 8-byte-capable objects
+        self.objs: list[tuple[str, int]] = []   # (value name, size >= 8)
         self.acc = None
         self.params: list[int] = []
         self.used_helpers = False
@@ -117,19 +116,15 @@ class _Builder:
         else:
             self.emit(f"{name} = alloca_dyn {size}")
         self.objs.append((name, size))
-        if size >= 8:
-            self.cells.append((name, size))
 
-    def pick_obj(self, min_size: int = 1):
-        fit = [o for o in self.objs if o[1] >= min_size]
-        return self.rng.choice(fit) if fit else None
+    def pick_obj(self) -> tuple[str, int]:
+        # generate() allocates first, and every size is at least 8 bytes:
+        # any object fits any access size.
+        return self.rng.choice(self.objs)
 
     def op_const_access(self) -> None:
-        obj = self.pick_obj(1)
-        if obj is None:
-            return
-        name, size = obj
-        asz = self.rng.choice([a for a in ACCESS_SIZES if a <= size])
+        name, size = self.pick_obj()
+        asz = self.rng.choice(ACCESS_SIZES)
         off = self.rng.randrange(0, size - asz + 1)
         ptr = self.fresh()
         self.emit(f"{ptr} = gep {name}, {off}")
@@ -141,10 +136,7 @@ class _Builder:
             self.emit(f"store {ptr}, {asz}, {self.rng.randrange(0, 256)}")
 
     def op_param_index(self) -> None:
-        obj = self.pick_obj(8)
-        if obj is None:
-            return
-        name, size = obj
+        name, size = self.pick_obj()
         asz = self.rng.choice((4, 8))
         limit = (size - asz) // asz
         idx = self.new_param(self.rng.randrange(0, limit + 1))
@@ -155,10 +147,7 @@ class _Builder:
         self.bump_acc(out)
 
     def op_loop(self) -> None:
-        obj = self.pick_obj(8)
-        if obj is None:
-            return
-        name, size = obj
+        name, size = self.pick_obj()
         asz = self.rng.choice((1, 4, 8))
         trips = self.rng.randrange(2, 9)
         while (trips - 1) * asz + asz > size:
@@ -184,20 +173,15 @@ class _Builder:
         self.blocks.append((exit_, []))
 
     def op_escape_roundtrip(self) -> None:
-        cell = self.pick_obj(8)
-        obj = self.pick_obj(8)
-        if cell is None or obj is None:
-            return
-        cname, _ = cell
-        oname, osize = obj
+        cname, _ = self.pick_obj()
+        oname, osize = self.pick_obj()
         delta = self.rng.randrange(0, osize - 8 + 1)
         derived = self.fresh()
         self.emit(f"{derived} = gep {oname}, {delta}")
         self.emit(f"storep {cname}, {derived}")
         loaded = self.fresh()
         self.emit(f"{loaded} = loadp {cname}")
-        asz = self.rng.choice([a for a in ACCESS_SIZES
-                               if delta + a <= osize])
+        asz = self.rng.choice(ACCESS_SIZES)
         out = self.fresh()
         self.emit(f"{out} = load {loaded}, {asz}")
         self.bump_acc(out)
@@ -205,10 +189,7 @@ class _Builder:
     def op_select(self) -> None:
         if len(self.objs) < 2:
             return
-        (a, sa), (b, sb) = self.rng.sample(self.objs, 2)
-        low = min(sa, sb)
-        if low < 8:
-            return
+        (a, _), (b, _) = self.rng.sample(self.objs, 2)
         cond = self.fresh()
         self.emit(f"{cond} = icmp lt {self.acc}, {self.rng.randrange(1, 50)}")
         pick = self.fresh()
@@ -218,10 +199,7 @@ class _Builder:
         self.bump_acc(out)
 
     def op_call(self) -> None:
-        obj = self.pick_obj(8)
-        if obj is None:
-            return
-        name, _ = obj
+        name, _ = self.pick_obj()
         self.used_helpers = True
         if self.rng.random() < 0.5:
             out = self.fresh()
@@ -239,12 +217,10 @@ class _Builder:
         self.emit(f"extern @copy({a}, {b}, {n})")
 
     def op_pure(self) -> None:
-        obj = self.pick_obj(1)
-        if obj is None:
-            return
+        name, _ = self.pick_obj()
         self.used_pure = True
         out = self.fresh()
-        self.emit(f"{out} = extern @blend({self.acc}, {obj[0]})")
+        self.emit(f"{out} = extern @blend({self.acc}, {name})")
         self.bump_acc(out)
 
     # ------------------------------------------------------------ bad pieces
@@ -261,10 +237,7 @@ class _Builder:
             self._oob_copy()
 
     def _oob_overshoot(self) -> None:
-        obj = self.pick_obj(1)
-        if obj is None:
-            return
-        name, size = obj
+        name, size = self.pick_obj()
         asz = self.rng.choice(ACCESS_SIZES)
         # Mostly barely-past-the-end: small windows are the ones q-padding
         # and the power-of-two slack can legitimately absorb.
@@ -279,10 +252,7 @@ class _Builder:
         self.bump_acc(out)
 
     def _oob_negative_index(self) -> None:
-        obj = self.pick_obj(8)
-        if obj is None:
-            return
-        name, _ = obj
+        name, _ = self.pick_obj()
         idx = self.new_param(-self.rng.randrange(1, 9))
         ptr = self.fresh()
         self.emit(f"{ptr} = gep {name}, {idx}*8")
@@ -291,20 +261,14 @@ class _Builder:
         self.bump_acc(out)
 
     def _oob_escape(self) -> None:
-        cell = self.pick_obj(8)
-        obj = self.pick_obj(1)
-        if cell is None or obj is None:
-            return
-        name, size = obj
+        cname, _ = self.pick_obj()
+        name, size = self.pick_obj()
         bad = self.fresh()
         self.emit(f"{bad} = gep {name}, {size + self.rng.randrange(1, 64)}")
-        self.emit(f"storep {cell[0]}, {bad}")
+        self.emit(f"storep {cname}, {bad}")
 
     def _oob_copy(self) -> None:
-        obj = self.pick_obj(8)
-        if obj is None:
-            return
-        name, size = obj
+        name, size = self.pick_obj()
         self.used_copy = True
         bad_len = size + self.rng.randrange(1, 64)
         if self.rng.random() < 0.3:

@@ -73,7 +73,6 @@ class AllocationRecord:
     ea: int
     request_size: int
     q: int
-    mode: Mode
     live: bool = True
     tagged: int = 0
     aligned_size: int | None = None   # pow2 mode only
@@ -84,6 +83,7 @@ class AllocationRecord:
 IN_BOUNDS = "IN_BOUNDS"
 IN_PADDING = "IN_PADDING"
 OOB = "OOB"
+INVALID_ESCAPE = "INVALID_ESCAPE"   # the oracle's class for an escape
 
 
 def classify(addr: int, size: int, rec: AllocationRecord | None,
@@ -106,7 +106,6 @@ def classify(addr: int, size: int, rec: AllocationRecord | None,
 @dataclass
 class _LargeFrame:
     base: int
-    slot_size: int
     next_slot: int = 0
     slot_cap: int = 0
 
@@ -219,9 +218,8 @@ class SimMemory:
         return self.alloc_large(size)
 
     def alloc_small(self, size: int) -> int:
+        """alloc routes here when the object, q and the SA fit one frame."""
         reserve = size + self.q + 8
-        if reserve > PAGE:
-            raise AllocError(f"small allocation of {size} does not fit a frame")
         if self._small_frame is None or self._small_bump + reserve > PAGE:
             self._small_frame = self._next_small
             self._next_small += PAGE
@@ -241,11 +239,13 @@ class SimMemory:
                              f"needs a whole 4GB frame")
         frame = self._large_frames.get(slot)
         if frame is None or frame.next_slot >= frame.slot_cap:
+            if self._next_large == STACK_BASE:     # the stack's 4GB span
+                self._next_large += 1 << 32
             if self._next_large + (1 << 32) > ADDR_MASK:
                 raise AllocError("large-frame address space exhausted")
             # The last slot is kept free so the final object's SA store at
             # EA+q stays inside the frame.
-            frame = _LargeFrame(self._next_large, slot,
+            frame = _LargeFrame(self._next_large,
                                 slot_cap=(1 << 32) // slot - 1)
             self._large_frames[slot] = frame
             self._next_large += 1 << 32
@@ -258,8 +258,6 @@ class SimMemory:
         return self._record(sa, ea, size, tagged, (y, ea))
 
     def alloc_pow2(self, size: int, kind: str = "heap") -> int:
-        if size < 0:
-            raise AllocError("pow2 allocation needs size >= 0")
         aligned = _next_pow2(size + 1)
         if aligned.bit_length() - 1 > 46 or self._pow2_bump + aligned > ADDR_MASK:
             raise AllocError(f"pow2 allocation of {size} exceeds the budget")
@@ -273,8 +271,6 @@ class SimMemory:
                             aligned_size=aligned)
 
     def alloc_32(self, size: int, kind: str = "heap") -> int:
-        if size < 0:
-            raise AllocError("allocation needs size >= 0")
         sa = _align_up(self._bump32, 8)
         ea = sa + size
         if ea + self.q + 8 >= 1 << 32:
@@ -325,7 +321,7 @@ class SimMemory:
                 aligned_size: int | None = None) -> int:
         """Record a new allocation; only pow2 (aligned_size) stores no SA."""
         rec = AllocationRecord(sa=sa, ea=ea, request_size=size, q=self.q,
-                               mode=self.mode, tagged=tagged,
+                               tagged=tagged,
                                aligned_size=aligned_size, region=region,
                                kind=kind)
         self.records.append(rec)

@@ -5,6 +5,13 @@ rolling back pointer arithmetic, inserts access and escape check sites,
 rebuilds address chains over tag-masked values, and then runs the check
 elimination passes: q-padding elision, lower-bound drop, check combining,
 and loop hoisting.
+
+A hoisted or widened check runs before the accesses it covers.  Two rules
+keep it from stopping a correct program.  A loop is hoisted only if it
+leaves from its header alone, so every trip the induction variable counts
+runs.  A check is widened over a later access only if control cannot leave
+the check's block and come back to it without passing the access's block,
+so the widened check never runs again before that access has run.
 """
 
 from __future__ import annotations
@@ -523,7 +530,8 @@ def _combine_pair(earlier: CheckSite, later: CheckSite, cfg: CfgInfo) -> bool:
     if e1 <= l1 and l2 <= e2:
         later.status = ELIDED_DOMINANCE
         return True
-    if cfg.postdominates(later.instr, earlier.instr):
+    if (cfg.postdominates(later.instr, earlier.instr)
+            and not _repeats_before(cfg, earlier.instr, later.instr)):
         if not earlier.widened:
             # Remember where the checked operand sits inside the merged
             # window so the VM can re-anchor the widened check.
@@ -535,11 +543,37 @@ def _combine_pair(earlier: CheckSite, later: CheckSite, cfg: CfgInfo) -> bool:
     return False
 
 
+def _repeats_before(cfg: CfgInfo, earlier: Instr, later: Instr) -> bool:
+    """Can control leave `earlier`'s block and come back to it without
+    passing `later`'s?  A check at `earlier` widened over `later` would then
+    run again, on new values, before `later` has run."""
+    block, stop = cfg.position(earlier)[0], cfg.position(later)[0]
+    if block == stop:
+        return False
+    seen, stack = set(), list(cfg.succ[block])
+    while stack:
+        label = stack.pop()
+        if label == block:
+            return True
+        if label != stop and label not in seen:
+            seen.add(label)
+            stack.extend(cfg.succ[label])
+    return False
+
+
+def _leaves_only_from_header(cfg: CfgInfo, loop) -> bool:
+    """Does every trip that enters the body run on to the latch?  No block
+    but the header may branch out of the loop, to a `ret` or elsewhere."""
+    return all(loop.body.issuperset(cfg.succ[label])
+               for label in loop.body if label != loop.header)
+
+
 def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
     for fn_name, cfg in iprog.cfgs.items():
         info = iprog.infos[fn_name]
         for loop in cfg.loops:
-            if loop.preheader is None:
+            if loop.preheader is None \
+                    or not _leaves_only_from_header(cfg, loop):
                 continue
             ind = _induction_of(cfg, info, loop)
             if ind is None:

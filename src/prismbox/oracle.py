@@ -12,13 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .heap import IN_BOUNDS, IN_PADDING, OOB, classify  # noqa: F401
+from .heap import (IN_BOUNDS, IN_PADDING, INVALID_ESCAPE, OOB,  # noqa: F401
+                   classify)
 from .instrument import ELIDED_Q, InstrumentedProgram, instrument
 from .ir import parse
 from .tagging import Mode
 from .vm import VM, OracleEvent, RunResult, VmError
-
-INVALID_ESCAPE = "INVALID_ESCAPE"
 
 
 def default_allowance(vm: VM, event: OracleEvent) -> bool:
@@ -72,23 +71,17 @@ def differential_on(iprog: InstrumentedProgram,
                     inputs: list[int] | None = None,
                     step_limit: int | None = None) -> Verdict:
     kwargs = {} if step_limit is None else {"step_limit": step_limit}
-    checks_vm = VM(iprog, backend="checks", **kwargs)
-    oracle_vm = VM(iprog, backend="oracle", allowance=default_allowance,
-                   **kwargs)
-    try:
-        checks = checks_vm.run(inputs)
-    except VmError as exc:
-        checks, checks_err = None, str(exc)
-    else:
-        checks_err = None
-    try:
-        oracle = oracle_vm.run(inputs)
-    except VmError as exc:
-        oracle, oracle_err = None, str(exc)
-    else:
-        oracle_err = None
+    vms = (VM(iprog, backend="checks", **kwargs),
+           VM(iprog, backend="oracle", allowance=default_allowance, **kwargs))
+    runs = []       # (result, error) of the checks run, then the oracle run
+    for vm in vms:
+        try:
+            runs.append((vm.run(inputs), None))
+        except VmError as exc:
+            runs.append((None, str(exc)))
+    (checks, checks_err), (oracle, oracle_err) = runs
 
-    allowed = len(oracle_vm.allowed_events)
+    allowed = len(vms[1].allowed_events)
     if checks_err is not None or oracle_err is not None:
         # Sandbox-level errors are deterministic and must hit both runs.
         if checks_err is not None and oracle_err is not None:

@@ -54,8 +54,8 @@ from typing import NamedTuple
 
 from .checks import (CheckOutcome, CheckStats, Reason, access_check,
                      escape_check, fast_pass)
-from .heap import (IN_BOUNDS, PAGE, AllocError, FreeError, SimFault,
-                   SimMemory, classify)
+from .heap import (IN_BOUNDS, INVALID_ESCAPE, PAGE, AllocError, FreeError,
+                   SimFault, SimMemory, classify)
 from .instrument import EXECUTING, LOWER_DROPPED, InstrumentedProgram
 from .tagging import MASK64
 
@@ -503,7 +503,7 @@ class VM:
         if cls == IN_BOUNDS:
             return
         escape = site.kind == "Escape"
-        event = OracleEvent(cls="INVALID_ESCAPE" if escape else cls,
+        event = OracleEvent(cls=INVALID_ESCAPE if escape else cls,
                             site=site, addr=addr, size=size, record=rec)
         if self.allowance is not None and self.allowance(self, event):
             self.allowed_events.append(event)

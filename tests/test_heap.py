@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_text
 from prismbox.heap import (
     LOW_GUARD,
     MAX_ALLOC,
@@ -98,6 +99,34 @@ class TestAllocLarge:
         sa, _ = span(m, m.alloc(100000))
         assert (sa >> 32) << 32 == sa & ~((1 << 32) - 1)
         assert sa & ~((1 << 32) - 1) >= LOW_GUARD
+
+    def test_third_large_frame_skips_the_stack(self):
+        # Three slot sizes open three 4GB frames; the third would otherwise
+        # start at the stack's base.
+        m = mem()
+        for size in (70000, 140000, 200000):
+            m.alloc(size)
+        m.alloc_stack_escaped(64)
+        m.check_no_overlap()
+
+    @pytest.mark.parametrize("q", [0, 8])
+    def test_stack_store_leaves_the_third_large_object_alone(self, q):
+        result, _, vm = run_text("""
+fn @main() {
+^entry:
+  %x = alloc 70000
+  %y = alloc 140000
+  %z = alloc 200000
+  store %z, 8, 42
+  %s = alloca_dyn 100000
+  %p = gep %s, 31072
+  store %p, 8, 7
+  %r = load %z, 8
+  ret %r
+}
+""", q=q)
+        assert result.exit_code == 0 and result.ret == 42
+        vm.mem.check_no_overlap()
 
 
 class TestSaMetadata:

@@ -21,8 +21,10 @@ from prismbox.instrument import (
     instrument,
 )
 from prismbox.ir import parse, print_program
+from prismbox.oracle import differential_on
 from prismbox.stats import build_report
-from prismbox.tagging import Mode
+from prismbox.tagging import MODE_KINDS, Mode
+from test_vm import WIDENED_LOOP_PIR
 
 
 def sites(iprog, fn=None, kind=None):
@@ -392,6 +394,117 @@ fn @main() {
 """, opts=("combine",))
         assert all(s.status == ACTIVE for s in sites(iprog, kind="Access"))
 
+    # Two loads of a 64-byte object, the first covering the second.
+    COVERED = {
+        # Variable windows [8i, 8i+8) and [8i+4, 8i+8).
+        "variable": ("""
+fn @main(%i: int) {
+^entry:
+  %a = alloc 64
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %q = gep %a, %i*8, 4
+  %w = load %q, 4
+  %s = add %v, %w
+  ret %s
+}
+""", 7, 16),
+        # Constant windows [-8, 0) and [-4, 0) below a pointer loaded back
+        # from memory, which is its own KSA: it points at 8i.
+        "constant_negative": ("""
+fn @main(%i: int) {
+^entry:
+  %a = alloc 64
+  %cell = alloc 8
+  %d = gep %a, %i*8
+  storep %cell, %d
+  %b = loadp %cell
+  %p = gep %b, -8
+  %v = load %p, 8
+  %q = gep %b, -4
+  %w = load %q, 4
+  %s = add %v, %w
+  ret %s
+}
+""", 1, 0),
+    }
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    @pytest.mark.parametrize("shape", sorted(COVERED))
+    def test_covered_window_elided_by_dominance(self, kind, shape):
+        text, good, bad = self.COVERED[shape]
+        iprog = instrument_text(text, kind, 8)
+        first, second = [s for s in sites(iprog, kind="Access")
+                         if s.origin.op == "load"]
+        assert first.status == ACTIVE and not first.widened
+        assert second.status == ELIDED_DOMINANCE
+        inside = differential_on(iprog, [good])
+        assert inside.ok and inside.checks.exit_code == 0
+        outside = differential_on(iprog, [bad])
+        assert outside.ok and outside.checks.exit_code == 2
+        assert outside.checks.violation.sid == first.sid
+
+    # The header's check runs on i = 0..4; the exit's access runs once, at
+    # [8*4 - 8, 8*4).  Widening the header's check over it would fail at
+    # i = 0, before the exit is reached.
+    REPEATING_PROGRAM = """
+fn @main() {
+^entry:
+  %a = alloc 64
+  br ^head
+^head:
+  %i = phi [0, ^entry], [%i2, ^body]
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %c = icmp lt %i, 4
+  condbr %c, ^body, ^done
+^body:
+  %i2 = add %i, 1
+  br ^head
+^done:
+  %q = gep %a, %i*8, -8
+  %w = load %q, 8
+  ret %w
+}
+"""
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    def test_check_that_repeats_before_the_access_is_not_widened(self, kind):
+        iprog = instrument_text(self.REPEATING_PROGRAM, kind)
+        found = sites(iprog, kind="Access")
+        assert not any(s.widened for s in found)
+        assert all(s.executes for s in found)
+        verdict = differential_on(iprog, [])
+        assert verdict.reason == "match" and verdict.checks.exit_code == 0
+
+    @pytest.mark.parametrize("text", [
+        WIDENED_LOOP_PIR.replace("FIRST", "0").replace("SECOND", "8"),
+        """
+fn @main(%i: int, %n: int) {
+^entry:
+  %a = alloc 64
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %c = icmp lt %n, 1
+  condbr %c, ^x, ^y
+^x:
+  br ^join
+^y:
+  br ^join
+^join:
+  %q = gep %a, %i*8, 8
+  %w = load %q, 8
+  %s = add %v, %w
+  ret %s
+}
+"""], ids=["one_loop_block", "across_a_diamond"])
+    def test_check_that_cannot_repeat_first_still_widens(self, text):
+        iprog = instrument_text(text)
+        (widened,) = [s for s in sites(iprog, kind="Access") if s.widened]
+        assert widened.window == (0, 16)
+        assert [s.status for s in sites(iprog, kind="Access")
+                if s is not widened] == [ELIDED_COMBINE]
+
 
 HOIST_PROGRAM = """
 fn @main() {
@@ -466,6 +579,38 @@ fn @main(%n: int) {
 }
 """, opts=("hoist",))
         assert not [s for s in iprog.sites if s.kind == "LoopHoisted"]
+
+    # Counts to 8 over a 16-byte object but breaks out after a[1].
+    EARLY_EXIT_PROGRAM = """
+fn @main() {
+^entry:
+  %a = alloc 16
+  br ^head
+^head:
+  %i = phi [0, ^entry], [%i2, ^next]
+  %c = icmp lt %i, 8
+  condbr %c, ^body, ^done
+^body:
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %b = icmp eq %i, 1
+  condbr %b, ^done, ^next
+^next:
+  %i2 = add %i, 1
+  br ^head
+^done:
+  ret 0
+}
+"""
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    def test_loop_with_an_early_exit_not_hoisted(self, kind):
+        iprog = instrument_text(self.EARLY_EXIT_PROGRAM, kind)
+        (site,) = sites(iprog, kind="Access")
+        assert site.origin.op == "load" and site.executes
+        assert not [s for s in iprog.sites if s.kind == "LoopHoisted"]
+        verdict = differential_on(iprog, [])
+        assert verdict.reason == "match" and verdict.checks.exit_code == 0
 
 
 class TestDeepPrograms:

@@ -215,3 +215,41 @@ def test_empty_argument_lists_parse():
     call, ext, ret = program.functions["main"].entry.instrs
     assert call.operands == ext.operands == ret.operands == []
     assert program.functions["f"].params == []
+
+
+_TWO_WAY = """fn @main(%n: int) {
+^entry:
+  %p = alloc 8
+  %c = icmp lt %n, 1
+  condbr %c, ^a, ^b
+^a:
+  %x = add %n, 1
+  br ^join
+^b:
+  br ^join
+^join:
+  %v = phi PHI
+  ret 0
+}
+"""
+
+
+@pytest.mark.parametrize("text,message", [
+    ("fn @helper() {\n^entry:\n  ret 0\n}\n",
+     "missing entry function @main"),
+    ("fn @main(%p: ptr) {\n^entry:\n  ret 0\n}\n",
+     "entry parameter %p must be int (got ptr)"),
+    ("fn @main(%x: int, %x: int) {\n^entry:\n  ret %x\n}\n",
+     "@main: duplicate parameter %x"),
+    (_TWO_WAY.replace("PHI", "[%x, ^a], [%x, ^b]"),
+     "@main: %x does not dominate its phi edge from ^b (line 12)"),
+    (_TWO_WAY.replace("PHI", "[%p, ^a], [%n, ^b]"),
+     "@main: phi mixes ['int', 'ptr'] (line 12)"),
+    ("fn @f(%x: int) {\n^entry:\n  ret %x\n}\n"
+     "fn @main() {\n^entry:\n  %r = call @f(1, 2)\n  ret %r\n}\n",
+     "@main: call to @f with 2 args, expected 1 (line 7)"),
+], ids=["missing_entry", "entry_param_not_int", "duplicate_param",
+        "phi_value_not_dominating_edge", "phi_mixes_int_and_ptr",
+        "call_arg_count"])
+def test_validator_diagnostic(text, message):
+    assert validate(parse(text)) == [message]

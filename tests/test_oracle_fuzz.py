@@ -76,6 +76,29 @@ fn @main() {
         v = differential_on(iprog, [])
         assert not v.ok
 
+    @pytest.mark.parametrize("kind", ["prism", "prism32"])
+    def test_early_abort_at_widened_site(self, kind):
+        # The widened check [8i, 8i+16) aborts at i = 7 before the invalid
+        # storep that the oracle stops at.
+        text = """
+fn @main(%i: int) {
+^entry:
+  %a = alloc 64
+  %c = alloc 8
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %bad = gep %a, 100
+  storep %c, %bad
+  %q = gep %a, %i*8, 8
+  %w = load %q, 8
+  %s = add %v, %w
+  ret %s
+}
+"""
+        v = differential(text, Mode(kind, 0), [7])
+        assert v.ok and v.reason == "early-abort-at-widened-site"
+        assert v.checks.exit_code == 2 and v.oracle.exit_code == 3
+
     def test_summary_shape(self):
         verdicts = [differential(corpus_text("linked_list.pir"),
                                  Mode("prism", 0), [5])]
