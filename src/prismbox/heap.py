@@ -16,7 +16,13 @@ lookup therefore goes through one index over record bounds
 (`SimMemory.record_at`).  By address alone it answers with the newest
 record covering an address; given the tagged pointer, it answers with the
 newest covering record that carries the pointer's tag, so a dangling
-pointer into a popped frame still finds its own record.
+pointer into a popped frame still finds its own record.  A record that
+starts at or above the index's last bound is appended to it; any other
+is inserted.  pow2 and prism32 place every object, stack objects too,
+with one bump pointer that never rewinds, so every record is appended.
+prism keeps small objects, large objects and the stack in three regions,
+in that address order, so an object is appended only when it lies in the
+highest region used so far and not over a popped frame.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ def _next_pow2(value: int) -> int:
     return 1 << max(0, (value - 1).bit_length())
 
 
-@dataclass
+@dataclass(slots=True)
 class AllocationRecord:
     """Exact oracle-side record of one allocation."""
 
@@ -221,6 +227,8 @@ class SimMemory:
         """alloc routes here when the object, q and the SA fit one frame."""
         reserve = size + self.q + 8
         if self._small_frame is None or self._small_bump + reserve > PAGE:
+            if self._next_small >= LARGE_BASE:
+                raise AllocError("small-frame address space exhausted")
             self._small_frame = self._next_small
             self._next_small += PAGE
             self._small_bump = 0
@@ -363,6 +371,14 @@ class SimMemory:
         that a dangling pointer into the frame still finds it.
         """
         bounds, owners = self._bounds, self._owners
+        if not bounds or rec.sa >= bounds[-1]:
+            # Above every record: append, replacing a last bound at rec.sa
+            # (the last owners entry is always ()).
+            if bounds and rec.sa == bounds[-1]:
+                del bounds[-1], owners[-1]
+            bounds += rec.sa, rec.ea + 1
+            owners += (rec,), ()
+            return
         cuts = []
         for at in (rec.sa, rec.ea + 1):
             i = bisect_left(bounds, at)

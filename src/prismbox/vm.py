@@ -37,7 +37,10 @@ On `checks`, an executing Access or LoopHoisted site tests
 `checks.fast_pass` inline on the window that `_window` gives, as
 `VM._check_access` does, and where it holds only counts the check;
 elsewhere `VM._check_access` decides, counts and aborts as interpreted.
-Escape sites and all `oracle` sites call their handler.  Steps stay exact
+An Escape site of a named value does what `escape_check` does: no check
+where a phi or select equals its KSA, else the zero-size `fast_pass`, else
+`VM._check_escape`.  A literal escape and all `oracle` sites call their
+handler.  Steps stay exact
 under one contract: a block whose phis lack the edge from `prev`, or whose
 steps would cross the limit, is run by the interpreter instead, which
 raises; otherwise its steps are added to `vm.steps` when it returns or
@@ -235,21 +238,33 @@ class _FunctionPlans(dict):
             if which and sites and sites[1]:
                 out.append(f"vm._oracle_sites(S{j}, I{j}, env)")
             for n, site in enumerate(sites[0] if sites and not which else ()):
+                call, test = f"vm._check_access(S{j}[{n}], I{j}, env)", "if"
                 if site.kind == "Escape":
-                    out.append(f"vm._check_escape(S{j}[{n}], env)")
-                    continue
-                out.append(f"k = {read(site.ksa)}")
-                value, offset, span, wraps = _window(site, instr)
-                ptr = f"{read(value)} & {mask}"
-                if offset:
-                    ptr = f"({ptr}) + {offset}"
-                if wraps:
-                    ptr = f"({ptr}) & {m64}"
-                guard = fast_pass(self.mode, "k", "p", span,
-                                  site.status == LOWER_DROPPED)
-                out += [f"p = {ptr}", f"if {guard}:",
-                        "    stats.dynamic_checks += 1",
-                        f"else: vm._check_access(S{j}[{n}], I{j}, env)"]
+                    call = f"vm._check_escape(S{j}[{n}], env)"
+                    if not isinstance(site.escape_value, str):
+                        out.append(call)
+                        continue
+                    # As escape_check: a zero-size check of the stripped
+                    # value, none at all where a phi or select is its KSA.
+                    out += [f"p = {read(site.escape_value)} & {mask}",
+                            f"k = {read(site.ksa)}"]
+                    if site.maybe_equal:
+                        out.append(f"if p == k & {mask}: pass")
+                        test = "elif"
+                    guard = fast_pass(self.mode, "k", "p", 0)
+                else:
+                    out.append(f"k = {read(site.ksa)}")
+                    value, offset, span, wraps = _window(site, instr)
+                    ptr = f"{read(value)} & {mask}"
+                    if offset:
+                        ptr = f"({ptr}) + {offset}"
+                    if wraps:
+                        ptr = f"({ptr}) & {m64}"
+                    out.append(f"p = {ptr}")
+                    guard = fast_pass(self.mode, "k", "p", span,
+                                      site.status == LOWER_DROPPED)
+                out += [f"{test} {guard}:", "    stats.dynamic_checks += 1",
+                        f"else: {call}"]
             if op in ("load", "loadp", "store", "storep"):
                 out += [f"a = {read(args[0])} & {mask}", "o = a & 0xFFFF",
                         "g = get(a - o)"]

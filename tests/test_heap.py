@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import run_text
 from prismbox.heap import (
+    LARGE_BASE,
     LOW_GUARD,
     MAX_ALLOC,
     PAGE,
@@ -58,6 +59,16 @@ class TestAllocSmall:
         for size in (1, 7, 8, 100, 4096, 60000, (1 << 16) - 16):
             sa, ea = span(m, m.alloc(size))
             assert sa >> 16 == ea >> 16 or sa == ea
+
+    def test_small_frames_stop_below_the_large_frames(self):
+        m = mem(materialize=False)
+        m.alloc(100000)                 # the first large frame
+        m._next_small = LARGE_BASE - PAGE
+        sa, _ = span(m, m.alloc(65000))
+        assert sa == LARGE_BASE - PAGE  # the last small frame
+        with pytest.raises(AllocError):
+            m.alloc(65000)
+        m.check_no_overlap()
 
     def test_qpad_classification_shift(self):
         # size + q + 8 > 2^16 forces the large path even for sizes the
@@ -349,6 +360,67 @@ class TestRecordIndex:
         assert m.record_at(second.ea) is second
         assert m.record_at(second.ea + 1) is dead
         assert m.record_at(dead.ea + 1) is None
+
+
+# Sizes: small, large (past one 64KB frame with q and the SA), and on
+# either side of powers of two, where a pow2 object can end on its block.
+SIZES = (st.integers(1, 300)
+         | st.sampled_from([65520, 65528, 65536, 70000, 131072])
+         | st.builds(lambda k, d: (1 << k) + d, st.integers(1, 12),
+                     st.sampled_from([-1, -1, 0, 1])))
+HEAP_STEPS = st.lists(
+    st.tuples(st.just("alloc"), SIZES)
+    | st.tuples(st.just("stack_escaped"), st.just(0) | SIZES)
+    | st.tuples(st.just("stack_dynamic"), SIZES)
+    | st.tuples(st.sampled_from(["mark", "release"]), st.just(0))
+    | st.tuples(st.just("free"), st.integers(0, 63)), min_size=4, max_size=30)
+
+
+def _newest_covering(records, raw, tag=None):
+    """record_at(raw) and record_at(raw, tagged) by their documented
+    meaning: the newest record holding raw, preferring the pointer's tag."""
+    covering = [r for r in records if r.sa <= raw <= r.ea]
+    same_tag = [r for r in covering if r.tagged - r.sa == tag]
+    return (same_tag or covering or [None])[-1]
+
+
+@pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
+@pytest.mark.parametrize("q", [0, 8])
+@given(steps=HEAP_STEPS)
+@settings(max_examples=60, deadline=None)
+def test_record_index_finds_the_newest_covering_record(kind, q, steps):
+    m = mem(kind, q)
+    marks = []
+    for op, arg in steps:
+        if op == "alloc":
+            m.alloc(arg)
+        elif op == "stack_escaped":
+            m.alloc_stack_escaped(arg)
+        elif op == "stack_dynamic":
+            m.alloc_stack_dynamic(arg)
+        elif op == "mark":
+            marks.append(m.stack_mark())
+        elif op == "release" and marks:
+            m.release_stack(marks.pop())
+        elif op == "free":
+            live = [r for r in m.records if r.live]
+            if live:
+                m.free(live[arg % len(live)].tagged)
+        if op not in ("mark", "release", "free") and kind != "pow2":
+            rec = m.records[-1]
+            assert m.read_sa(rec.ea) == rec.sa
+        bounds = m._bounds
+        assert all(a < b for a, b in zip(bounds, bounds[1:]))
+        assert len(m._owners) == len(bounds)
+        assert not bounds or m._owners[-1] == ()
+        for rec in m.records:
+            tag = rec.tagged - rec.sa
+            for raw in (rec.sa - 1, rec.sa, (rec.sa + rec.ea) // 2, rec.ea,
+                        rec.ea + 1):
+                assert m.record_at(raw) is _newest_covering(m.records, raw)
+                assert m.record_at(raw, raw + tag) is _newest_covering(
+                    m.records, raw, tag)
+    m.check_no_overlap()
 
 
 class TestLazyPages:

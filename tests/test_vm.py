@@ -570,6 +570,35 @@ WINDOW_ABORTS = {
 }
 
 
+# Each trip stores three pointers: the phi %p, which at run time is its own
+# KSA (no check counted), the in-bounds %g (one check), and %h, which is
+# %a + 16 but %a + %bad on trip 60.  %a's 63 bytes end where pow2's aligned
+# block does, so one byte past the EA fails in every mode.
+ESCAPE_LOOP_PIR = """
+fn @main(%n: int, %bad: int) {
+^entry:
+  %a = alloc 63
+  %cell = alloc 8
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %p = phi [%a, ^entry], [%p, ^loop]
+  storep %cell, %p
+  %g = gep %a, 8
+  storep %cell, %g
+  %at = icmp eq %i, 60
+  %off = select %at, %bad, 16
+  %h = gep %a, %off*1
+  storep %cell, %h
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %i2
+}
+"""
+
+
 def _tier_outcome(iprog, inputs, backend="checks", trace=False,
                   step_limit=200_000):
     allowance = default_allowance if backend == "oracle" else None
@@ -676,6 +705,31 @@ class TestTiers:
         want = _tiered(monkeypatch, iprog, NEVER_HOT, [150])
         assert want[0] == EXIT_BOUNDS and want[2] > 60 * 12
         assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [150]) == want
+
+    @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
+    @pytest.mark.parametrize("bad", [16, 64, -8])
+    def test_escape_checks_in_a_compiled_block(self, monkeypatch, kind, bad):
+        iprog = instrument_text(ESCAPE_LOOP_PIR, kind)
+        escapes = [s for s in iprog.sites if s.kind == "Escape"]
+        assert [(s.escape_value, s.maybe_equal) for s in escapes] == [
+            ("p", True), ("g", False), ("h", False)]
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [100, bad])
+        if bad == 16:
+            # Per trip: the store to %cell, %g and %h; %p counts none.
+            assert (want[0], want[1], want[3]) == (EXIT_OK, 100, 300)
+        else:
+            assert want[0] == EXIT_ESCAPE and want[3] == 61 * 3
+            assert want[8]["sid"] == escapes[2].sid
+            assert want[4] == int(bad < 0 and kind != "pow2")  # SA fetch
+        handled = []
+        check_escape = VM._check_escape
+        monkeypatch.setattr(VM, "_check_escape", lambda vm, site, env: (
+            handled.append(site.sid), check_escape(vm, site, env)))
+        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [100, bad]) == want
+        handled.clear()
+        assert _tiered(monkeypatch, iprog, 1, [100, bad]) == want
+        # Compiled from the first trip on, only the abort calls the handler.
+        assert handled == ([] if bad == 16 else [escapes[2].sid])
 
     @pytest.mark.parametrize("iprog, message", [
         (lambda: _array_loop(ghost=True), "read of unset value %ghost"),
