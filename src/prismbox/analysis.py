@@ -95,10 +95,8 @@ class CfgInfo:
 
     def __init__(self, fn: Function):
         self.fn = fn
-        self.succ = {}
-        for b in fn.blocks:
-            term = b.terminator
-            self.succ[b.label] = list(term.labels) if term else []
+        # A validated block ends in its terminator.
+        self.succ = {b.label: list(b.instrs[-1].labels) for b in fn.blocks}
         self.pred = {label: [] for label in self.succ}
         for src, dests in self.succ.items():
             for dest in dests:
@@ -114,8 +112,7 @@ class CfgInfo:
         # The reversed CFG, from a virtual exit to the blocks that return.
         rsucc = dict(self.pred)
         rsucc[VIRTUAL_EXIT] = [b.label for b in self.fn.blocks
-                               if b.terminator is None
-                               or b.terminator.op == "ret"]
+                               if b.instrs[-1].op == "ret"]
         return _dominator_tree(rsucc, _reverse_postorder(rsucc, VIRTUAL_EXIT))
 
     def position(self, instr: Instr) -> tuple[str, int]:

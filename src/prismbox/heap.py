@@ -156,8 +156,6 @@ class SimMemory:
             self.pages.setdefault(base, ZERO_PAGE)
 
     def read(self, addr: int, length: int) -> bytes:
-        if length < 0:
-            raise SimFault(f"negative read length {length}")
         out = bytearray()
         pos = addr
         while pos < addr + length:

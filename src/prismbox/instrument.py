@@ -199,10 +199,7 @@ def offset_shape(defs: dict, v):
             break
         const += d.gep_const
         for idx, scale in d.gep_terms:
-            if isinstance(idx, str):
-                terms[idx] = terms.get(idx, 0) + scale
-            else:
-                const += idx * scale
+            terms[idx] = terms.get(idx, 0) + scale
         v = d.operands[0]
     if not terms:
         return v, const, ()
@@ -495,8 +492,9 @@ def opt_combine(iprog: InstrumentedProgram) -> None:
                  enumerate(b.label for b in cfg.fn.blocks)}
         group.sort(key=lambda s: (order[cfg.position(s.instr)[0]],
                                   cfg.position(s.instr)[1]))
+        # Only `later` changes status, so each site still executes here.
         for j, later in enumerate(group):
-            if not later.executes or later.window is None:
+            if later.window is None:
                 continue
             for earlier in group[:j]:
                 if not earlier.executes or earlier.window is None:
@@ -616,8 +614,6 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
 
 def _ksa_available(info: FunctionInfo, cfg: CfgInfo, ksa, loop) -> bool:
     """The KSA must be computable in the preheader (defined outside the loop)."""
-    if not isinstance(ksa, str):
-        return True
     d = info.defs.get(ksa)
     if d is None or d == "param":
         return True
@@ -631,7 +627,7 @@ def _induction_of(cfg: CfgInfo, info: FunctionInfo, loop):
     """
     header = cfg.fn.block(loop.header)
     term = header.terminator
-    if term is None or term.op != "condbr":
+    if term.op != "condbr":
         return None
     then_label, else_label = term.labels
     if then_label in loop.body and else_label not in loop.body:

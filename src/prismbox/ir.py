@@ -15,10 +15,11 @@ Textual format (.pir), one instruction per line:
       ret %v
     }
 
-`OPS` is the instruction grammar: each op's result type and operands.
-Offsets are byte-granular; there are no first-class struct types.  `null`
-is the untyped zero pointer literal.  `loadp`/`storep` move 8-byte pointer
-values and are the only way a pointer enters or leaves memory.
+`OPS` is the instruction grammar: each op's result type and operands.  The
+value-less ops (`store`, `storep`, `free`, `br`, `condbr`, `ret`) take no
+`%x =`.  Offsets are byte-granular; there are no first-class struct types.
+`null` is the untyped zero pointer literal.  `loadp`/`storep` move 8-byte
+pointer values and are the only way a pointer enters or leaves memory.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXTERN_KINDS = ("copy", "alloc", "pure")
 CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
 
 TERMINATORS = ("br", "condbr", "ret")
+VALUELESS = ("store", "storep", "free") + TERMINATORS
 VALUE_KINDS = ("int", "ptr", "any")
 
 
@@ -303,6 +305,8 @@ def _parse_instr(line: str, lineno: int) -> Instr:
     spec = OPS.get(op)
     if spec is None:
         raise ParseError(f"unknown opcode {op!r}", lineno)
+    if dest is not None and op in VALUELESS:
+        raise ParseError(f"{op} has no value for %{dest}", lineno)
     # Positional: the cheapest way to build one.
     instr = Instr(op, dest, [], spec.size, 0, [], [], [], None, None, lineno)
     if op in ("call", "extern"):

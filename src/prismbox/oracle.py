@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .heap import (IN_BOUNDS, IN_PADDING, INVALID_ESCAPE, OOB,  # noqa: F401
                    classify)
-from .instrument import ELIDED_Q, InstrumentedProgram, instrument
+from .instrument import ALL_OPTS, ELIDED_Q, InstrumentedProgram, instrument
 from .ir import parse
 from .tagging import Mode
 from .vm import VM, OracleEvent, RunResult, VmError
@@ -62,7 +62,6 @@ def differential(text: str, mode: Mode, inputs: list[int] | None = None,
                  opts: tuple | None = None,
                  step_limit: int | None = None) -> Verdict:
     """Run the production checks and the exact oracle; compare outcomes."""
-    from .instrument import ALL_OPTS
     iprog = instrument(parse(text), mode, opts if opts is not None else ALL_OPTS)
     return differential_on(iprog, inputs, step_limit)
 

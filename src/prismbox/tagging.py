@@ -19,7 +19,6 @@ MASK64 = (1 << 64) - 1
 CLASS_BIT = 1 << 63
 TAG_SHIFT = 47
 
-SMALL_FRAME = 1 << 16
 LARGE_FRAME = 1 << 32
 SMALL_FRAME_MASK = 0x7FFF_FFFF_0000       # clears the low 16 bits of a raw address
 LARGE_FRAME_MASK = 0x7FFF_0000_0000       # clears the low 32 bits of a raw address

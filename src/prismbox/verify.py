@@ -154,9 +154,8 @@ def _result_type(instr: Instr, types: dict, ret_types: dict,
         return None
     if instr.op == "call":
         return ret_types.get(instr.callee)
-    if instr.op == "extern":
-        return "ptr" if program.externs.get(instr.callee) == "alloc" else "int"
-    return None
+    # An extern: no other op without a fixed result type names a value.
+    return "ptr" if program.externs.get(instr.callee) == "alloc" else "int"
 
 
 def _infer_types(program: Program, facts: dict[str, _Facts],
@@ -243,7 +242,7 @@ def _check_uses(info: FunctionInfo, where: dict, program: Program,
             for v, (role, kind) in zip(instr.operands, OPS[op].values):
                 if isinstance(v, str) and types.get(v) != kind:
                     _expect(info, instr, v, kind, role, diags)
-            if op in ("gep", "phi", "call"):
+            if op in ("gep", "phi", "call", "extern"):
                 _check_instr_types(info, instr, program, diags)
         if reachable and block.instrs[0].op == "phi":
             want = sorted(cfg.pred[label])
@@ -255,6 +254,10 @@ def _check_uses(info: FunctionInfo, where: dict, program: Program,
                             f"@{fn.name} ^{label}: phi incomings "
                             f"{got} do not match predecessors {want} "
                             f"(line {instr.line})")
+
+
+# The argument count of each extern kind that fixes one; `pure` takes any.
+_EXTERN_ARGS = {"alloc": 1, "copy": 3}
 
 
 def _check_instr_types(info: FunctionInfo, instr: Instr, program: Program,
@@ -282,6 +285,12 @@ def _check_instr_types(info: FunctionInfo, instr: Instr, program: Program,
             return
         for v, (_pname, pty) in zip(instr.operands, callee.params):
             _expect(info, instr, v, pty, "argument", diags)
+    else:       # extern
+        want = _EXTERN_ARGS.get(program.externs.get(instr.callee))
+        if want is not None and len(instr.operands) != want:
+            diags.append(f"@{info.fn.name}: extern @{instr.callee} with "
+                         f"{len(instr.operands)} args, expected {want} "
+                         f"(line {instr.line})")
 
 
 def require_valid(program: Program) -> dict[str, FunctionInfo]:

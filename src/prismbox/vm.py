@@ -76,7 +76,7 @@ HOT_THRESHOLD = 50
 
 
 class VmError(Exception):
-    """Sandbox failure (bad extern call, step/depth limit, allocator error)."""
+    """Sandbox failure (step/depth limit, allocator error, forged pointer)."""
 
 
 @dataclass
@@ -278,8 +278,6 @@ class _FunctionPlans(dict):
                         f"    g[o:o + {size}] = (x & {(1 << 8 * size) - 1:#x})"
                         f".to_bytes({size}, 'little')",
                         f"else: mem.write_int(a, {size}, x)"]
-                if dest is not None:
-                    define(dest, "0")
             elif op == "gep":
                 define(dest, f"({read(args[0])} + {instr.gep_const}" + "".join(
                     f" + {read(v)} * {scale}" for v, scale in instr.gep_terms)
@@ -574,8 +572,6 @@ def _store(vm, instr, env):
     operands = instr.operands
     vm.mem.write_int(env[operands[0]] & vm.mode.mask, instr.size,
                      env[operands[1]])
-    if instr.dest is not None:
-        env[instr.dest] = 0
 
 
 def _select(vm, instr, env):
@@ -617,8 +613,6 @@ def _mask(vm, instr, env):
 
 def _free(vm, instr, env):
     vm.mem.free(env[instr.operands[0]])
-    if instr.dest is not None:
-        env[instr.dest] = 0
 
 
 def _call(vm, instr, env):
@@ -637,8 +631,6 @@ def _extern(vm, instr, env):
     kind = vm.program.externs[instr.callee]
     args = [env[v] for v in instr.operands]
     if kind == "alloc":
-        if len(args) != 1:
-            raise VmError(f"@{instr.callee} takes one size argument")
         env[instr.dest] = vm.mem.alloc(_signed(args[0]))
         return
     mask = vm.mode.mask
@@ -652,8 +644,6 @@ def _extern(vm, instr, env):
         return
     # copy: the declared length is checked against the exact records
     # before the pointers are stripped at the sandbox boundary.
-    if len(args) != 3:
-        raise VmError(f"@{instr.callee} takes: dst, src, len")
     dst, src, length = args
     if length:
         for ptr in (dst, src):

@@ -16,7 +16,7 @@ from prismbox import vm as vm_module
 from prismbox.instrument import ALL_OPTS, instrument
 from prismbox.ir import parse
 from prismbox.tagging import Mode
-from prismbox.vm import VM
+from prismbox.vm import VM, VmError
 
 
 @pytest.fixture(autouse=True)
@@ -148,6 +148,26 @@ def corpus_expectations() -> dict:
 def instrument_text(text: str, kind: str = "prism", q: int = 0,
                     opts: tuple = ALL_OPTS):
     return instrument(parse(text), Mode(kind, q), opts)
+
+
+class ChecksVmError(VM):
+    """A VM whose `checks` runs raise a VmError.  Set as `prismbox.oracle.VM`,
+    where `differential_on` builds its two VMs, it plants a disagreement."""
+
+    def run(self, inputs=None):
+        if self.backend == "checks":
+            raise VmError("planted")
+        return super().run(inputs)
+
+
+class ChecksWrongReturn(VM):
+    """A VM whose clean `checks` runs return one more than they should."""
+
+    def run(self, inputs=None):
+        result = super().run(inputs)
+        if self.backend == "checks" and result.ok:
+            result.ret += 1
+        return result
 
 
 def run_text(text: str, kind: str = "prism", q: int = 0,

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     CLI_MAIN,
+    ChecksWrongReturn,
     DEEP_SHAPES,
     FORGED_TAGS,
     RECURSIVE_PIR,
@@ -15,6 +16,7 @@ from conftest import (
     forged_pointer_program,
     python_isolated,
 )
+from prismbox import cli, oracle
 from prismbox.cli import load_corpus, main, run_corpus_case
 from prismbox.heap import MAX_ALLOC
 
@@ -107,6 +109,33 @@ class TestRun:
         out = capsys.readouterr().out
         assert json.loads(out[out.index("{"):])["ok"] is True
 
+    def test_differential_mismatch_exits_1(self, pir, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "VM", ChecksWrongReturn)
+        path = pir("ll.pir", corpus_text("linked_list.pir"))
+        assert main(["run", path, "5", "--differential"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out[out.index("{"):])["ok"] is False
+        assert err == "differential mismatch: return-value-mismatch\n"
+
+    # Each program breaks a static rule in code that never runs on input 0.
+    STATIC_ERRORS = {
+        "value_less_op_named": (
+            "fn @main(%n: int) {\n^entry:\n  condbr %n, ^a, ^b\n"
+            "^a:\n  %x = br ^b\n^b:\n  ret 0\n}\n",
+            "error: line 5: br has no value for %x"),
+        "extern_arg_count": (
+            "extern @new kind=alloc\nfn @main(%n: int) {\n^entry:\n"
+            "  condbr %n, ^a, ^b\n^a:\n  %p = extern @new(8, 8)\n"
+            "  ret 0\n^b:\n  ret 0\n}\n",
+            "error: @main: extern @new with 2 args, expected 1 (line 6)"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(STATIC_ERRORS))
+    def test_static_error_exits_4(self, pir, capsys, name):
+        text, message = self.STATIC_ERRORS[name]
+        assert main(["run", pir("bad.pir", text), "0"]) == 4
+        assert capsys.readouterr().err == message + "\n"
+
     @pytest.mark.parametrize("mode", ["prism", "pow2", "prism32"])
     def test_modes_accepted(self, pir, mode):
         path = pir("ll.pir", corpus_text("linked_list.pir"))
@@ -142,6 +171,24 @@ class TestCorpus:
         case = next(c for c in spec["cases"] if c["name"] == "off_by_one")
         case["runs"][0]["expect"]["exit"] = 0  # deliberately wrong
         assert run_corpus_case(case)
+
+
+    def test_every_failed_expectation_reported(self, monkeypatch, capsys):
+        spec = load_corpus()
+        (case,) = spec["cases"] = [c for c in spec["cases"]
+                                   if c["name"] == "linked_list"]
+        case["runs"] = [{"expect": {
+            "exit": 1, "active_checks": -1, "dynamic_checks": -1,
+            "sa_fetches_max": -1, "sa_fetches_min": 10**9}}]
+        monkeypatch.setattr(cli, "load_corpus", lambda: spec)
+        assert main(["corpus"]) == 1
+        first, *lines = capsys.readouterr().out.splitlines()
+        assert first == "FAIL linked_list"
+        label = "  linked_list mode=prism q=0 opt=all: "
+        assert all(line.startswith(label) for line in lines)
+        assert [line[len(label):].split(",")[-1] for line in lines] == [
+            " expected 1", " expected -1", " expected -1",
+            " expected at most -1", " expected at least 1000000000"]
 
 
 class TestFuzz:

@@ -203,6 +203,40 @@ class TestAlloc32:
                 m.alloc_32((1 << 29))
 
 
+# name -> (mode kind, an allocator cursor, a value that leaves room for one
+# more allocation, a size that still fits, a size that does not, the error).
+# A 100000-byte object takes a 2-page slot; a 200000-byte one takes a 4-page
+# slot and so a new large frame.
+EXHAUSTION = {
+    "large": ("prism", "_next_large", (1 << 47) - (1 << 33), 100000, 200000,
+              "large-frame address space exhausted"),
+    "pow2": ("pow2", "_pow2_bump", (1 << 47) - 64, 16, 16,
+             "pow2 allocation of 16 exceeds the budget"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXHAUSTION))
+def test_address_space_exhaustion(name):
+    kind, cursor, at, fits, fails, message = EXHAUSTION[name]
+    m = mem(kind, materialize=False)
+    setattr(m, cursor, at)
+    sa, _ = span(m, m.alloc(fits))
+    assert sa >= at
+    with pytest.raises(AllocError) as exc:
+        m.alloc(fails)
+    assert str(exc.value) == message
+    m.check_no_overlap()
+
+
+def test_stack_space_exhaustion():
+    m = mem(materialize=False)
+    m.stack_ptr = m._stack_limit - 32
+    sa, _ = span(m, m.alloc_stack_escaped(16))
+    assert sa == m._stack_limit - 32
+    with pytest.raises(AllocError, match="stack space exhausted"):
+        m.alloc_stack_escaped(16)
+
+
 class TestStack:
     def test_escaped_alignment_small(self):
         m = mem()
@@ -289,6 +323,21 @@ class TestRawMemory:
 
     def test_zero_length_read(self):
         assert mem().read(0x1000, 0) == b""
+
+    @pytest.mark.parametrize("materialize", [True, False])
+    def test_null_page_never_mapped(self, materialize):
+        m = mem(materialize=materialize)
+        with pytest.raises(AllocError, match="below the 4MB guard"):
+            m.map_range(LOW_GUARD - PAGE, LOW_GUARD)
+        assert not m.pages
+
+    def test_overlapping_reservations_detected(self):
+        m = mem()
+        m.alloc(24)
+        m.alloc(24)
+        m.records[1].region = m.records[0].region
+        with pytest.raises(AssertionError, match="overlapping reservations"):
+            m.check_no_overlap()
 
     def test_no_frame_below_guard(self):
         m = mem()

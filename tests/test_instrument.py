@@ -9,6 +9,7 @@ from conftest import (
     deep_program,
     instrument_text,
 )
+import prismbox
 from prismbox import fuzz
 from prismbox.instrument import (
     ACTIVE,
@@ -175,6 +176,23 @@ fn @main() {
         (site,) = sites(iprog, kind="Escape")
         assert site.escape_value == -1
 
+    def test_storep_of_masked_pointer_is_static_alias(self):
+        # A mask is a zero-offset link: %m aliases its KSA %a, %g does not.
+        iprog = instrument_text("""
+fn @main() {
+^entry:
+  %a = alloc 16
+  %c = alloc 8
+  %m = mask %a
+  storep %c, %m
+  %g = gep %a, 8
+  storep %c, %g
+  ret 0
+}
+""", opts=())
+        (site,) = sites(iprog, kind="Escape")
+        assert (site.escape_value, site.ksa) == ("g", "a")
+
 
 class TestMetadataReset:
     def test_shared_ksa_masked_once(self):
@@ -222,6 +240,50 @@ fn @main() {
                     if i.op == "ptrcmp"]
         assert all(isinstance(v, str) and v.endswith(".m")
                    for v in cmp_i.operands)
+
+    # A user value already holds the name a masked clone (`.m`) or a
+    # mirrored KSA (`.ksa`) would take; the fresh one gets a number.
+    FRESH_NAMES = {
+        "mask": ("""
+fn @main(%n: int) {
+^entry:
+  %a = alloc 16
+  %a.m = add %n, 1
+  %p = gep %a, 8
+  store %p, 8, %a.m
+  %v = load %p, 8
+  ret %v
+}
+""", "%a.m1 = mask %a"),
+        "ksa": ("""
+fn @main(%n: int) {
+^entry:
+  %a = alloc 16
+  %b = alloc 16
+  %c = icmp lt %n, 1
+  condbr %c, ^l, ^r
+^l:
+  br ^j
+^r:
+  br ^j
+^j:
+  %p = phi [%a, ^l], [%b, ^r]
+  %p.ksa = add %n, 1
+  store %p, 8, %p.ksa
+  %v = load %p, 8
+  ret %v
+}
+""", "%p.ksa1 = phi [%a, ^l], [%b, ^r]"),
+    }
+
+    @pytest.mark.parametrize("suffix", sorted(FRESH_NAMES))
+    def test_fresh_names_skip_user_values(self, suffix):
+        text, line = self.FRESH_NAMES[suffix]
+        iprog = instrument_text(text)
+        assert "  " + line + "\n" in print_program(iprog.program)
+        for n in (0, 1):
+            verdict = differential_on(iprog, [n])
+            assert verdict.reason == "match" and verdict.checks.ret == n + 1
 
     def test_int_compare_untouched(self):
         iprog = instrument_text("""
@@ -477,6 +539,52 @@ fn @main() {
         verdict = differential_on(iprog, [])
         assert verdict.reason == "match" and verdict.checks.exit_code == 0
 
+    # Two loads of one KSA that combining leaves alone: the later one has no
+    # constant window (a mask of a gep is not its own KSA), or the two sit in
+    # the arms of a diamond, where neither dominates the other.  On input 1
+    # the right arm's access is 8 bytes past the object.
+    UNCOMBINED = {
+        "later_without_window": ("""
+fn @main() {
+^entry:
+  %a = alloc 16
+  %v = load %a, 8
+  %g = gep %a, 8
+  %m = mask %g
+  %w = load %m, 8
+  %s = add %v, %w
+  ret %s
+}
+""", 0),
+        "arms_of_a_diamond": ("""
+fn @main(%n: int) {
+^entry:
+  %a = alloc 8
+  %c = icmp lt %n, 1
+  condbr %c, ^left, ^right
+^left:
+  %v = load %a, 16
+  ret %v
+^right:
+  %p = gep %a, 8
+  %w = load %p, 8
+  ret %w
+}
+""", 2),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(UNCOMBINED))
+    def test_pair_left_alone(self, shape):
+        text, code = self.UNCOMBINED[shape]
+        iprog = instrument_text(text)
+        first, second = sites(iprog, kind="Access")
+        assert first.ksa == second.ksa == "a"
+        assert first.executes and second.executes and not first.widened
+        verdict = differential_on(iprog, [1])
+        assert verdict.reason == "match" and verdict.checks.exit_code == code
+        if code:
+            assert verdict.checks.violation.sid == second.sid
+
     @pytest.mark.parametrize("text", [
         WIDENED_LOOP_PIR.replace("FIRST", "0").replace("SECOND", "8"),
         """
@@ -524,6 +632,83 @@ fn @main() {
   ret 0
 }
 """
+
+
+# `for i = START; COND; i++` loads a[i], 8 bytes each, from an object %a
+# allocated in ENTRY or in BODY.
+COUNTING_LOOP = """
+fn @main(%n: int) {
+^entry:
+  ENTRY
+  br ^hdr
+^hdr:
+  %i = phi [START, ^entry], [%i2, ^body]
+  %c = icmp lt COND
+  condbr %c, THEN
+^body:
+  BODY
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret 0
+}
+"""
+
+
+def counting_loop(size=64, start=0, cond="%i, 8", then="^body, ^done",
+                  alloc_in_body=False):
+    alloc = f"%a = alloc {size}"
+    return (COUNTING_LOOP.replace("ENTRY", "" if alloc_in_body else alloc)
+            .replace("BODY", alloc if alloc_in_body else "")
+            .replace("START", str(start)).replace("COND", cond)
+            .replace("THEN", then))
+
+
+# Loops over a[i] that no LoopHoisted check may cover: name -> (program,
+# input, exit code).  The loads are in bounds except in "window_over_cap",
+# whose 64-byte object ends at i = 8, and in "three_incomings", whose second
+# back edge sets i to -2 once.
+NOT_HOISTED = {
+    # The KSA is allocated inside the loop.
+    "ksa_in_loop": (counting_loop(alloc_in_body=True), 0, 0),
+    # The window, 8 * 2^28 bytes, is over HOIST_CAP.
+    "window_over_cap": (counting_loop(cond="%i, 268435456"), 0, 2),
+    # The loop leaves when its compare holds, here at once.
+    "exits_when_true": (counting_loop(size=8, then="^done, ^body"), 0, 0),
+    # The compare reads a parameter, not a phi; n = 8 runs no trip.
+    "compares_a_parameter": (counting_loop(size=8, cond="%n, 8"), 8, 0),
+    # The loop never runs its body.
+    "zero_trips": (counting_loop(size=8, start=8), 0, 0),
+    "three_incomings": ("""
+fn @main(%n: int) {
+^entry:
+  %a = alloc 64
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^latch], [%i3, ^back]
+  %f = phi [0, ^entry], [%f, ^latch], [1, ^back]
+  %c = icmp lt %i, 8
+  condbr %c, ^body, ^done
+^body:
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %at = icmp eq %i, %n
+  %first = icmp eq %f, 0
+  %jump = mul %at, %first
+  condbr %jump, ^back, ^latch
+^back:
+  %i3 = sub %i, 5
+  condbr 1, ^hdr, ^latch
+^latch:
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret 0
+}
+""", 3, 2),
+}
 
 
 class TestOptLoopHoist:
@@ -612,6 +797,19 @@ fn @main() {
         verdict = differential_on(iprog, [])
         assert verdict.reason == "match" and verdict.checks.exit_code == 0
 
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    @pytest.mark.parametrize("shape", sorted(NOT_HOISTED))
+    def test_loop_not_hoisted(self, shape, kind):
+        text, n, code = NOT_HOISTED[shape]
+        iprog = instrument_text(text, kind)
+        assert not [s for s in iprog.sites if s.kind == "LoopHoisted"]
+        (site,) = sites(iprog, kind="Access")
+        assert site.status == ACTIVE
+        verdict = differential_on(iprog, [n])
+        assert verdict.reason == "match" and verdict.checks.exit_code == code
+        if code:
+            assert verdict.checks.violation.sid == site.sid
+
 
 class TestDeepPrograms:
     @pytest.mark.parametrize("shape,n", DEEP_SHAPES)
@@ -658,6 +856,13 @@ class TestPipeline:
             for block in fn.blocks:
                 for idx, instr in enumerate(block.instrs):
                     assert cfg.position(instr) == (block.label, idx)
+
+    def test_instrument_text_parses_then_instruments(self):
+        text = corpus_text("cost_compare.pir")
+        got = prismbox.instrument_text(text, Mode("pow2", 8))
+        want = instrument(parse(text), Mode("pow2", 8))
+        assert got.site_table() == want.site_table()
+        assert print_program(got.program) == print_program(want.program)
 
     def test_no_opts_leaves_all_sites_executing(self):
         iprog = instrument_text(corpus_text("cost_compare.pir"), opts=())

@@ -4,7 +4,8 @@ import pytest
 
 from conftest import STRUCTURAL_DEFECTS, corpus_text, python_isolated
 from prismbox import fuzz
-from prismbox.ir import ParseError, parse, print_program
+from prismbox.ir import (Block, Function, Instr, ParseError, parse,
+                         print_program)
 from prismbox.verify import ValidationError, analyze, require_valid, validate
 
 CORPUS_FILES = ["linked_list.pir", "cost_compare.pir", "partial_struct.pir",
@@ -50,6 +51,33 @@ def test_syntax_error_reports_line():
 def test_unbalanced_function_rejected():
     with pytest.raises(ParseError):
         parse("fn @main() {\n^entry:\n  ret 0\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("extern @e kind=magic\n", "line 1: unknown extern kind 'magic'"),
+    ("fn @f() {\n^entry:\n  ret\n}\nfn @f() {\n^entry:\n  ret\n}\n",
+     "line 5: duplicate function @f"),
+], ids=["unknown_extern_kind", "duplicate_function"])
+def test_malformed_declaration_rejected(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+def test_bare_ret_prints_as_written():
+    text = "fn @main() {\n^entry:\n  ret\n}\n"
+    assert print_program(parse(text)) == text
+
+
+def test_function_built_without_the_parser():
+    # The block map follows the block list; a block that does not end in
+    # a terminator has none.
+    fn = Function("main", [])
+    fn.blocks.append(Block("entry", [Instr("add", "x", [1, 2])]))
+    assert fn.block("entry").terminator is None
+    fn.blocks.append(Block("exit", [Instr("ret", operands=[0])]))
+    assert fn.block("exit").terminator.op == "ret"
+    assert Block("empty").terminator is None
 
 
 def test_use_before_def_diagnosed():
@@ -107,6 +135,12 @@ def test_globals_parse_and_print():
         == print_program(program)
 
 
+def test_unknown_global_named_is_none():
+    program = parse("global @buf size=8 escapes=false\n")
+    assert program.global_named("buf").size == 8
+    assert program.global_named("main") is None
+
+
 def test_every_ptr_value_has_provenance():
     program = parse(corpus_text("linked_list.pir"))
     infos = require_valid(program)
@@ -155,7 +189,8 @@ def test_structural_errors_reported_alone():
     "%x = gaddr buf", "br entry", "condbr 1, ^a", "ret 1, 2",
     "%x = icmp eq %a", "%x = icmp lt", "%x = gep", "%x = gep %p, %i*x",
     "%x = phi", "%x = phi [1 ^a]", "%x = call @f(", "%x = alloc 0x",
-    "free", "%x = add %a, %%b",
+    "free", "%x = add %a, %%b", "%s = store %p, 8, 1", "%s = storep %c, %p",
+    "%f = free %p", "%x = br ^next", "%x = condbr 1, ^a, ^b", "%r = ret 0",
 ])
 def test_malformed_instruction_names_op_and_line(line):
     with pytest.raises(ParseError) as exc:
@@ -248,8 +283,14 @@ _TWO_WAY = """fn @main(%n: int) {
     ("fn @f(%x: int) {\n^entry:\n  ret %x\n}\n"
      "fn @main() {\n^entry:\n  %r = call @f(1, 2)\n  ret %r\n}\n",
      "@main: call to @f with 2 args, expected 1 (line 7)"),
+    ("extern @new kind=alloc\nfn @main() {\n^entry:\n"
+     "  %p = extern @new(8, 8)\n  ret 0\n}\n",
+     "@main: extern @new with 2 args, expected 1 (line 4)"),
+    ("extern @copy kind=copy\nfn @main() {\n^entry:\n  %p = alloc 8\n"
+     "  extern @copy(%p, %p)\n  ret 0\n}\n",
+     "@main: extern @copy with 2 args, expected 3 (line 5)"),
 ], ids=["missing_entry", "entry_param_not_int", "duplicate_param",
         "phi_value_not_dominating_edge", "phi_mixes_int_and_ptr",
-        "call_arg_count"])
+        "call_arg_count", "extern_alloc_arg_count", "extern_copy_arg_count"])
 def test_validator_diagnostic(text, message):
     assert validate(parse(text)) == [message]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from conftest import RECURSIVE_PIR, corpus_text
-from prismbox import fuzz
+from conftest import (RECURSIVE_PIR, ChecksVmError, ChecksWrongReturn,
+                      corpus_text)
+from prismbox import fuzz, oracle
 from prismbox.heap import SimMemory
 from prismbox.instrument import ELIDED_Q, instrument
 from prismbox.ir import parse
@@ -98,6 +99,16 @@ fn @main(%i: int) {
         v = differential(text, Mode(kind, 0), [7])
         assert v.ok and v.reason == "early-abort-at-widened-site"
         assert v.checks.exit_code == 2 and v.oracle.exit_code == 3
+
+    @pytest.mark.parametrize("planted,reason", [
+        (ChecksVmError, "vm-error-mismatch (checks='planted', oracle=None)"),
+        (ChecksWrongReturn, "return-value-mismatch")],
+        ids=["vm_error", "return_value"])
+    def test_planted_disagreement_flagged(self, monkeypatch, planted, reason):
+        monkeypatch.setattr(oracle, "VM", planted)
+        v = differential(corpus_text("linked_list.pir"), Mode("prism", 0), [5])
+        assert not v.ok and v.reason == reason
+        assert v.oracle.exit_code == 0
 
     def test_summary_shape(self):
         verdicts = [differential(corpus_text("linked_list.pir"),

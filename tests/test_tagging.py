@@ -54,6 +54,10 @@ class TestEncodePrism:
         with pytest.raises(EncodingError):
             encode_prism(0, 1 << 47, LARGE)
 
+    def test_large_object_across_4gb_frames_rejected(self):
+        with pytest.raises(EncodingError, match="leaves its 4GB frame"):
+            encode_prism(0x1FFFFFFF0, 0x200010000, LARGE)
+
 
 class TestComputeEa:
     def test_small_worked_example(self):
@@ -122,6 +126,19 @@ class TestEa32:
     def test_ea_over_32_bits_rejected(self):
         with pytest.raises(EncodingError):
             encode_ea32(0, 1 << 32)
+
+    def test_sa_above_ea_rejected(self):
+        with pytest.raises(EncodingError, match="need 0 <= sa <= ea"):
+            encode_ea32(0x40000100, 0x40000000)
+
+
+@pytest.mark.parametrize("kind,q,message", [
+    ("prism64", 0, "unknown mode kind: 'prism64'"),
+    ("prism", -1, "q-padding must be non-negative")])
+def test_bad_mode_rejected(kind, q, message):
+    with pytest.raises(ValueError) as exc:
+        Mode(kind, q)
+    assert str(exc.value) == message
 
 
 class TestStripTag:

@@ -386,6 +386,10 @@ class TestPlans:
             vm.run()
         assert vm.steps == limit + 1
 
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="unknown backend 'exact'"):
+            VM(instrument_text(SPIN_PIR), backend="exact")
+
     @pytest.mark.parametrize("backend", ["checks", "oracle"])
     def test_unset_value_message(self, backend):
         iprog = instrument_text("fn @main() {\n^entry:\n  %x = add 1, 2\n"
@@ -445,7 +449,9 @@ TIER_MODES = [(kind, q) for kind in ("prism", "pow2", "prism32")
 
 # Each @main loop block is entered once per iteration: a signed compare, a
 # check that aborts, an unset value and a forged pointer are met inside a
-# hot block.  CALL_LOOP_PIR's loop holds a call, so it stays interpreted.
+# hot block.  CALL_LOOP_PIR's loop holds a call, so it stays interpreted;
+# SPLIT_CALL_LOOP_PIR moves the call to a block of its own, so the loop
+# header compiles.
 CALL_LOOP_PIR = """
 fn @inc(%x: int) {
 ^entry:
@@ -465,6 +471,30 @@ fn @main(%n: int) {
   condbr %c, ^loop, ^done
 ^done:
   ret %s2
+}
+"""
+
+SPLIT_CALL_LOOP_PIR = """
+fn @inc(%x: int) {
+^entry:
+  %y = add %x, 1
+  ret %y
+}
+fn @main(%n: int) {
+^entry:
+  br ^loop
+^loop:
+  %i = phi [-3, ^entry], [%i2, ^call]
+  %s = phi [0, ^entry], [%s2, ^call]
+  %a = add %s, %i
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^call, ^done
+^call:
+  %s2 = call @inc(%a)
+  br ^loop
+^done:
+  ret %s
 }
 """
 
@@ -658,14 +688,19 @@ class TestTiers:
 
     @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
     def test_step_limit_in_a_compiled_block(self, monkeypatch, hot):
-        # 9 steps an iteration: 2 phis, 5 steps and the 2 of the callee.
-        iprog = instrument_text(CALL_LOOP_PIR)
-        for limit in [*range(1, 30), *range(440, 470)]:
-            assert (_tiered(monkeypatch, iprog, hot, [100],
-                            step_limit=limit)
-                    == _tiered(monkeypatch, iprog, NEVER_HOT, [100],
-                               step_limit=limit)
-                    == ("VmError", "step limit exceeded", limit + 1))
+        # 10 steps an iteration: 2 phis and 4 steps in ^loop, which is
+        # compiled, and in ^call, which is not, the call, the callee's 2
+        # steps and the br.  The limit lands on each step of the first
+        # iterations and of iterations past the 50th.
+        iprog = instrument_text(SPLIT_CALL_LOOP_PIR)
+        for limit in [*range(1, 30), *range(600, 630)]:
+            want = _tiered(monkeypatch, iprog, NEVER_HOT, [100],
+                           step_limit=limit)
+            assert want == ("VmError", "step limit exceeded", limit + 1)
+            assert _tiered(monkeypatch, iprog, hot, [100],
+                           step_limit=limit) == want
+        compiled = iprog.plans["main"].tiers[0][0]
+        assert compiled["loop"] is not None and compiled["call"] is None
 
     @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
     def test_step_limit_in_a_call_free_compiled_block(self, monkeypatch,
@@ -740,6 +775,15 @@ class TestTiers:
         want = _tiered(monkeypatch, iprog, NEVER_HOT, [90])
         assert want[:2] == ("VmError", message) and want[2] > 60 * 12
         assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [90]) == want
+
+    @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
+    def test_literal_escape_in_a_compiled_block(self, monkeypatch, kind):
+        iprog = instrument_text("fn @main() {\n^entry:\n  %c = alloc 8\n"
+                                "  storep %c, 1\n  ret 0\n}\n", kind, opts=())
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [])
+        assert want[0] == EXIT_ESCAPE and want[6] == 1      # one abort
+        assert _tiered(monkeypatch, iprog, 1, []) == want
+        assert iprog.plans["main"].tiers[0][0]["entry"] is not None
 
     def test_phi_without_edge_in_a_compiled_block(self, monkeypatch):
         iprog = instrument_text(SPIN_PIR)
