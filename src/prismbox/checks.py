@@ -147,12 +147,9 @@ def fast_pass(mode: Mode, ksa: str, ptr: str, size: int,
 
 
 def escape_check(mode: Mode, value: int, ksa: int, mem,
-                 statically_aliased: bool = False,
                  maybe_equal_at_runtime: bool = False,
                  stats: CheckStats | None = None) -> CheckOutcome:
     """Zero-size bounds check enforcing that an escaping value is <= EA."""
-    if statically_aliased:
-        return PASS
     if maybe_equal_at_runtime and mode.strip(value) == mode.strip(ksa):
         return PASS
     outcome = access_check(mode, ksa, mode.strip(value), 0, mem, stats)

@@ -194,8 +194,8 @@ def offset_shape(defs: dict, v):
     const = 0
     terms: dict = {}
     while isinstance(v, str):
-        d = defs.get(v)
-        if d is None or d == "param" or d.op != "gep":
+        d = defs[v]
+        if d == "param" or d.op != "gep":
             break
         const += d.gep_const
         for idx, scale in d.gep_terms:
@@ -271,8 +271,8 @@ class _FnInstrumenter:
         """v's KSA if finding it needs no recursion, else None."""
         if not isinstance(v, str) or v in self.ksa:
             return self.ksa.get(v, v)
-        d = self.info.defs.get(v)
-        if d is None or d == "param" or d.op not in _CHAINED:
+        d = self.info.defs[v]
+        if d == "param" or d.op not in _CHAINED:
             # A root (KSA_ROOT_OPS), or a non-pointer op that ended up here.
             self.ksa[v] = v
         elif d.op in _LINKS and (not isinstance(d.operands[0], str)
@@ -325,9 +325,8 @@ class _FnInstrumenter:
         while changed:
             changed = False
             for v in flags:
-                d = defs.get(v)
-                if not flags[v] or d is None or d == "param" \
-                        or d.op in KSA_ROOT_OPS:
+                d = defs[v]
+                if not flags[v] or d == "param" or d.op in KSA_ROOT_OPS:
                     continue
                 # Zero-offset links, phis and selects of such values only.
                 ok = d.op in _CHAINED and (
@@ -342,8 +341,8 @@ class _FnInstrumenter:
     def canon(self, v):
         """Strip zero-geps and masks: the static-alias normal form."""
         while isinstance(v, str):
-            d = self.info.defs.get(v)
-            if d is None or d == "param":
+            d = self.info.defs[v]
+            if d == "param":
                 return v
             if d.op == "gep" and not d.gep_terms and d.gep_const == 0:
                 v = d.operands[0]
@@ -399,9 +398,8 @@ class _FnInstrumenter:
                 ksa = self.ksa_of(v)
                 if self.canon(v) == self.canon(ksa):
                     continue  # static alias of its KSA needs no check
-                d = self.info.defs.get(v)
-                maybe_equal = (d not in (None, "param")
-                               and d.op in ("phi", "select"))
+                d = self.info.defs[v]
+                maybe_equal = d != "param" and d.op in ("phi", "select")
                 window, var_key = self.window_of(v, 0)
                 sites.append(self._new_site(
                     "Escape", instr, ksa, 0, window, var_key, escape_value=v,
@@ -417,11 +415,11 @@ class _FnInstrumenter:
     def _reset(self, v):
         if not isinstance(v, str) or v in self.reset_map:
             return self.reset_map.get(v, v)
-        d = self.info.defs.get(v)
-        if d == "param" or d is None or d.op in KSA_ROOT_OPS:
+        d = self.info.defs[v]
+        if d == "param" or d.op in KSA_ROOT_OPS:
             name = self.reset_map[v] = self._fresh(v + ".m")
             mask = Instr("mask", name, [v])
-            if d in ("param", None):
+            if d == "param":
                 self._insert_at_phi_head(self.fn.entry, mask)
             else:
                 self._insert_after(d, mask)
@@ -641,8 +639,8 @@ def _induction_of(cfg: CfgInfo, info: FunctionInfo, loop):
     ivar, bound = d_cond.operands
     if not isinstance(ivar, str) or isinstance(bound, str):
         return None
-    d_phi = info.defs.get(ivar)
-    if d_phi in (None, "param") or d_phi.op != "phi":
+    d_phi = info.defs[ivar]
+    if d_phi == "param" or d_phi.op != "phi":
         return None
     if cfg.position(d_phi)[0] != loop.header or len(d_phi.incomings) != 2:
         return None
@@ -651,8 +649,8 @@ def _induction_of(cfg: CfgInfo, info: FunctionInfo, loop):
         if label == loop.preheader and not isinstance(value, str):
             start = value
         elif label == loop.latch and isinstance(value, str):
-            d_next = info.defs.get(value)
-            if (d_next not in (None, "param") and d_next.op == "add"
+            d_next = info.defs[value]
+            if (d_next != "param" and d_next.op == "add"
                     and d_next.operands[0] == ivar
                     and not isinstance(d_next.operands[1], str)):
                 step = d_next.operands[1]

@@ -244,7 +244,11 @@ def _check_uses(info: FunctionInfo, where: dict, program: Program,
                     _expect(info, instr, v, kind, role, diags)
             if op in ("gep", "phi", "call", "extern"):
                 _check_instr_types(info, instr, program, diags)
-        if reachable and block.instrs[0].op == "phi":
+        if block is fn.entry and block.instrs[0].op == "phi":
+            # A call enters here on no edge that an incoming could name.
+            diags.append(f"@{fn.name} ^{label}: phi in the entry block "
+                         f"(line {block.instrs[0].line})")
+        elif reachable and block.instrs[0].op == "phi":
             want = sorted(cfg.pred[label])
             for instr in block.instrs:
                 if instr.op == "phi":

@@ -41,10 +41,9 @@ An Escape site of a named value does what `escape_check` does: no check
 where a phi or select equals its KSA, else the zero-size `fast_pass`, else
 `VM._check_escape`.  A literal escape and all `oracle` sites call their
 handler.  Steps stay exact
-under one contract: a block whose phis lack the edge from `prev`, or whose
-steps would cross the limit, is run by the interpreter instead, which
-raises; otherwise its steps are added to `vm.steps` when it returns or
-raises.
+under one contract: a block whose steps would cross the limit is run by the
+interpreter instead, which raises; otherwise its steps are added to
+`vm.steps` when it returns or raises.
 """
 
 from __future__ import annotations
@@ -149,8 +148,6 @@ class _Frame(dict):
     __slots__ = ("info",)   # the called function's FunctionInfo
 
     def __missing__(self, v):
-        if isinstance(v, str):
-            raise VmError(f"read of unset value %{v}")
         value = self[v] = v & MASK64
         return value
 
@@ -215,15 +212,12 @@ class _FunctionPlans(dict):
             out.append(f"{local} = env[{dest!r}] = {expr}")
 
         if phis:
-            # The parallel copy of the edge from prev.  An edge that some
-            # phi lacks goes back to the interpreter, which raises on it.
+            # The parallel copy of the edge from prev.
             targets = [f"v{next(fresh)}" for _ in phis]
-            preds = [p for p in phis[0][1] if all(p in inc for _, inc in phis)]
-            for n, pred in enumerate(preds):
+            for n, pred in enumerate(phis[0][1]):
                 head += [f"{'elif' if n else 'if'} prev == {pred!r}:",
                          f"    {', '.join(targets)} = " + ", ".join(
                              read(inc[pred], False) for _, inc in phis)]
-            head += ["else:" if preds else "if True:", "    return None"]
             for (dest, _), local in zip(phis, targets):
                 head.append(f"env[{dest!r}] = {local}")
                 names[dest] = local
@@ -411,12 +405,8 @@ class VM:
                 phis, steps = plans[label]
                 if phis:
                     # Phis read the environment as of block entry, at once.
-                    updates = {}
-                    for dest, incoming in phis:
-                        if prev not in incoming:
-                            raise VmError(
-                                f"phi %{dest} has no edge from ^{prev}")
-                        updates[dest] = env[incoming[prev]]
+                    updates = {dest: env[incoming[prev]]
+                               for dest, incoming in phis}
                     env.update(updates)
                     self.steps += len(updates)
                     if self.steps > limit:
@@ -444,11 +434,10 @@ class VM:
             else:
                 self._check_access(site, instr, env)
 
-    def _abort(self, site, outcome, ptr, ksa_raw):
-        reason = outcome.reason
+    def _abort(self, site, kind, reason, ptr, ksa_raw):
         code = EXIT_ESCAPE if reason == Reason.ESCAPE_INVARIANT else EXIT_BOUNDS
         raise _Abort(ViolationReport(
-            exit_code=code, reason=reason.value, kind=site.kind, sid=site.sid,
+            exit_code=code, reason=reason.value, kind=kind, sid=site.sid,
             fn=site.fn, line=site.origin.line, ksa=ksa_raw, ptr=ptr,
             size=site.size))
 
@@ -471,7 +460,7 @@ class VM:
         if self.tracing:
             self._trace(site, ptr, size, outcome)
         if not outcome.ok:
-            self._abort(site, outcome, ptr, ksa & mask)
+            self._abort(site, site.kind, outcome.reason, ptr, ksa & mask)
 
     def _check_escape(self, site, env) -> None:
         if not isinstance(site.escape_value, str):
@@ -481,7 +470,7 @@ class VM:
             raw = self.mode.strip(site.escape_value & MASK64)
             outcome = CheckOutcome(False, Reason.ESCAPE_INVARIANT)
             self.stats.note(outcome)
-            self._abort(site, outcome, raw, raw)
+            self._abort(site, site.kind, outcome.reason, raw, raw)
         value = env[site.escape_value]
         ksa = env[site.ksa]
         outcome = escape_check(self.mode, value, ksa, self.mem,
@@ -490,8 +479,8 @@ class VM:
         if self.tracing:
             self._trace(site, self.mode.strip(value), 0, outcome)
         if not outcome.ok:
-            self._abort(site, outcome, self.mode.strip(value),
-                        self.mode.strip(ksa))
+            self._abort(site, site.kind, outcome.reason,
+                        self.mode.strip(value), self.mode.strip(ksa))
 
     # --------------------------------------------------------- oracle backend
 
@@ -500,37 +489,34 @@ class VM:
             if site.kind != "Escape":
                 ksa = env[site.ksa]
                 addr = env[site.origin.operands[0]] & self.mode.mask
-                self._oracle_check(site, ksa, addr, site.origin.size)
+                self._oracle_check(site, ksa, addr)
             else:
                 raw = env[site.escape_value] & self.mode.mask
                 if raw:  # storing null is always legitimate
-                    self._oracle_check(site, env[site.ksa], raw, 0)
+                    self._oracle_check(site, env[site.ksa], raw)
 
-    def _oracle_check(self, site, ksa, addr, size) -> None:
+    def _oracle_check(self, site, ksa, addr) -> None:
         """Classify one access, or one escaping pointer, against the record
         the KSA belongs to."""
         ksa_raw = self.mode.strip(ksa)
         # Dead records still count: the sandbox does not model temporal bugs.
         rec = self.mem.record_at(ksa_raw, ksa)
-        cls = classify(addr, size, rec)
+        cls = classify(addr, site.size, rec)
         if cls == IN_BOUNDS:
             return
         escape = site.kind == "Escape"
         event = OracleEvent(cls=INVALID_ESCAPE if escape else cls,
-                            site=site, addr=addr, size=size, record=rec)
+                            site=site, addr=addr, size=site.size, record=rec)
         if self.allowance is not None and self.allowance(self, event):
             self.allowed_events.append(event)
             return
         if escape:
-            code, reason = EXIT_ESCAPE, Reason.ESCAPE_INVARIANT
+            kind, reason = "Escape", Reason.ESCAPE_INVARIANT
         elif rec is not None and addr < rec.sa:
-            code, reason = EXIT_BOUNDS, Reason.LOWER_BOUND
+            kind, reason = "Access", Reason.LOWER_BOUND
         else:
-            code, reason = EXIT_BOUNDS, Reason.UPPER_BOUND
-        raise _Abort(ViolationReport(
-            exit_code=code, reason=reason.value,
-            kind="Escape" if escape else "Access", sid=site.sid, fn=site.fn,
-            line=site.origin.line, ksa=ksa_raw, ptr=addr, size=size))
+            kind, reason = "Access", Reason.UPPER_BOUND
+        self._abort(site, kind, reason, addr, ksa_raw)
 
 
 # ----------------------------------------------------------------- handlers

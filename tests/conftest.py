@@ -101,6 +101,20 @@ STRUCTURAL_DEFECTS = {
                              "  ret %x\n}\n", "missing terminator"),
 }
 
+# A phi at the head of @main's entry block, which the loop branches back to.
+# The call enters the block on no edge, so the validator rejects the phi.
+ENTRY_PHI_PIR = """\
+fn @main(%n: int) {
+^entry:
+  %i = phi [%j, ^entry]
+  %j = add %i, 1
+  %c = icmp lt %j, %n
+  condbr %c, ^entry, ^done
+^done:
+  ret %j
+}
+"""
+
 # Tagged values that pass the mode's bounds check for an 8-byte access at
 # the unmapped raw address 0x1000: pow2 claims a 2^46-byte object there,
 # prism a small frame whose end address is 0x2000.

@@ -159,13 +159,6 @@ class TestEscapeCheck:
         out = escape_check(m.mode, tag + 0x101, tag, m)
         assert (out.ok, out.reason) == (False, Reason.ESCAPE_INVARIANT)
 
-    def test_statically_aliased_no_dynamic_work(self):
-        m, tag, _, _ = prism_obj()
-        stats = CheckStats()
-        assert escape_check(m.mode, tag + 0x200, tag, m,
-                            statically_aliased=True, stats=stats).ok
-        assert stats.dynamic_checks == 0
-
     def test_maybe_equal_runtime_guard(self):
         m, tag, _, _ = prism_obj()
         stats = CheckStats()

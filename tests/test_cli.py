@@ -8,6 +8,7 @@ from conftest import (
     CLI_MAIN,
     ChecksWrongReturn,
     DEEP_SHAPES,
+    ENTRY_PHI_PIR,
     FORGED_TAGS,
     RECURSIVE_PIR,
     STRUCTURAL_DEFECTS,
@@ -128,6 +129,9 @@ class TestRun:
             "  condbr %n, ^a, ^b\n^a:\n  %p = extern @new(8, 8)\n"
             "  ret 0\n^b:\n  ret 0\n}\n",
             "error: @main: extern @new with 2 args, expected 1 (line 6)"),
+        "entry_block_phi": (
+            ENTRY_PHI_PIR, "error: @main ^entry: phi in the entry block "
+                           "(line 3)"),
     }
 
     @pytest.mark.parametrize("name", sorted(STATIC_ERRORS))

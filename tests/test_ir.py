@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import STRUCTURAL_DEFECTS, corpus_text, python_isolated
+from conftest import (ENTRY_PHI_PIR, STRUCTURAL_DEFECTS, corpus_text,
+                      python_isolated)
 from prismbox import fuzz
 from prismbox.ir import (Block, Function, Instr, ParseError, parse,
                          print_program)
@@ -289,8 +290,10 @@ _TWO_WAY = """fn @main(%n: int) {
     ("extern @copy kind=copy\nfn @main() {\n^entry:\n  %p = alloc 8\n"
      "  extern @copy(%p, %p)\n  ret 0\n}\n",
      "@main: extern @copy with 2 args, expected 3 (line 5)"),
+    (ENTRY_PHI_PIR, "@main ^entry: phi in the entry block (line 3)"),
 ], ids=["missing_entry", "entry_param_not_int", "duplicate_param",
         "phi_value_not_dominating_edge", "phi_mixes_int_and_ptr",
-        "call_arg_count", "extern_alloc_arg_count", "extern_copy_arg_count"])
+        "call_arg_count", "extern_alloc_arg_count", "extern_copy_arg_count",
+        "entry_block_phi"])
 def test_validator_diagnostic(text, message):
     assert validate(parse(text)) == [message]
