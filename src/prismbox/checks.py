@@ -1,22 +1,21 @@
 """The dynamic bounds check and its counters.
 
 One predicate, `access_check`, serves every mode.  Each mode's upper-bound
-test is one Python source text, `_upper`: prism decodes the EA from the
-tag, prism32 reads it from the tag area, pow2 XORs the end against the
-aligned size.  `access_check` runs it compiled once per mode and
-`fast_pass` writes it into the VM's compiled blocks.  Only below the KSA
-do prism and prism32 fetch the SA stored after the EA, and pow2 XOR the
-pointer.  Addresses are compared raw (untagged).
+test is one Python source text, `_upper`, built on the mode's tag decode
+(`tagging.decode_source`): prism and prism32 compare the end against the
+EA, pow2 XORs it against the aligned size.  `access_check` runs the test
+compiled once per mode and `fast_pass` writes it into the VM's compiled
+blocks.  Only below the KSA do prism and prism32 fetch the SA stored after
+the EA, which the same decode locates, and pow2 XOR the pointer.
+Addresses are compared raw (untagged).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .tagging import (CLASS_BIT, LARGE_FRAME_MASK, MASK64, MODE_KINDS,
-                      SMALL_FRAME_MASK, TAG_SHIFT, Mode, compute_ea,
-                      decode_ea32, pow2_aligned_size)
+from .tagging import DECODE, MASK64, MODE_KINDS, Mode, decode_source
 
 
 class Reason(Enum):
@@ -62,15 +61,10 @@ def _upper(mode: Mode, k: str, end: str) -> str:
     """Python source of the mode's upper-bound test: the access ending at
     `end` (exclusive) stays within the object that KSA `k` tags.  `k` must
     be a name; it is read more than once."""
+    bound = decode_source(mode.kind, k)
     if mode.kind == "pow2":        # XOR against the aligned size
-        return (f"({k} & {mode.mask:#x}) ^ {end} < "
-                f"1 << ({k} >> {TAG_SHIFT})")
-    if mode.kind == "prism32":     # the EA sits in the tag area
-        return f"{end} <= {k} >> 32"
-    # prism: the EA from the frame-relative tag offset
-    return (f"{end} <= (({k} & {SMALL_FRAME_MASK:#x}) + ({k} >> {TAG_SHIFT})"
-            f" if {k} < {CLASS_BIT:#x} else ({k} & {LARGE_FRAME_MASK:#x}) + "
-            f"(({k} >> 31) & 0xFFFF0000))")
+        return f"({k} & {mode.mask:#x}) ^ {end} < {bound}"
+    return f"{end} <= {bound}"     # the EA
 
 
 # The upper-bound test of each mode kind as a function (ksa, end) -> bool.
@@ -94,19 +88,16 @@ def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
         if stats is not None:
             stats.dynamic_checks += 1
         return PASS
-    elif mode.kind == "pow2":
-        # The ptr < ksa guard skips the lower-bound XOR on the common path.
-        if (ksa_raw ^ ptr) >= pow2_aligned_size(ksa):
-            outcome = CheckOutcome(False, Reason.LOWER_BOUND, xor_lower=True)
-        else:
-            outcome = CheckOutcome(True, xor_lower=True)
     else:
-        ea = decode_ea32(ksa) if mode.kind == "prism32" else compute_ea(ksa)
-        if ptr < mem.read_sa(ea):
-            outcome = CheckOutcome(False, Reason.LOWER_BOUND, sa_fetched=True)
-        else:
-            outcome = CheckOutcome(True, sa_fetched=True)
-        if stats is not None and len(stats.fetch_log) < FETCH_LOG_LIMIT:
+        # Below the KSA, off the common path: pow2 XORs the pointer with the
+        # aligned size; prism and prism32 fetch the SA stored after the EA.
+        pow2 = mode.kind == "pow2"
+        bound = DECODE[mode.kind](ksa)
+        ok = (ksa_raw ^ ptr) < bound if pow2 else ptr >= mem.read_sa(bound)
+        outcome = CheckOutcome(ok, None if ok else Reason.LOWER_BOUND,
+                               sa_fetched=not pow2, xor_lower=pow2)
+        if (not pow2 and stats is not None
+                and len(stats.fetch_log) < FETCH_LOG_LIMIT):
             stats.fetch_log.append((ptr, ksa_raw))
     if stats is not None:
         stats.note(outcome)
@@ -154,7 +145,5 @@ def escape_check(mode: Mode, value: int, ksa: int, mem,
         return PASS
     outcome = access_check(mode, ksa, mode.strip(value), 0, mem, stats)
     if not outcome.ok:
-        outcome = CheckOutcome(False, Reason.ESCAPE_INVARIANT,
-                               sa_fetched=outcome.sa_fetched,
-                               xor_lower=outcome.xor_lower)
+        outcome = replace(outcome, reason=Reason.ESCAPE_INVARIANT)
     return outcome

@@ -330,19 +330,19 @@ def generate(seed: int, config: FuzzConfig | str = "mixed") -> tuple[str, list[i
 # ------------------------------------------------------------------ campaign
 
 def _run_case(args) -> tuple:
-    seed, kind, q, config_name, opts, step_limit = args
+    seed, kind, q, config_name, opts = args
     text, inputs = generate(seed, config_name)
     verdict = differential(text, Mode(kind, q), inputs, opts,
-                           step_limit=step_limit)
+                           step_limit=200_000)
     exit_code = verdict.checks.exit_code if verdict.checks else None
     return seed, verdict.ok, verdict.reason, exit_code, verdict.allowed_events
 
 
 def campaign(seed: int, count: int, mode: Mode, config: str = "mixed",
              opts: tuple = ALL_OPTS, out_dir: str | None = None,
-             workers: int = 1, step_limit: int = 200_000) -> dict:
+             workers: int = 1) -> dict:
     """Differential-fuzz `count` programs; persist any mismatching case."""
-    cases = [(seed + i, mode.kind, mode.q, config, tuple(opts), step_limit)
+    cases = [(seed + i, mode.kind, mode.q, config, tuple(opts))
              for i in range(count)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

@@ -49,6 +49,9 @@ LARGE_BASE = 1 << 33
 POW2_BASE = 1 << 35
 STACK_BASE = 1 << 34
 BASE32 = 1 << 30
+# prism and prism32 reserve nothing in their top 1GB, so no window of up to
+# TOP_GUARD bytes above a KSA wraps when masked (see the lower-bound drop).
+TOP_GUARD = 1 << 30
 
 
 class SimFault(Exception):
@@ -247,7 +250,7 @@ class SimMemory:
         if frame is None or frame.next_slot >= frame.slot_cap:
             if self._next_large == STACK_BASE:     # the stack's 4GB span
                 self._next_large += 1 << 32
-            if self._next_large + (1 << 32) > ADDR_MASK:
+            if self._next_large + (1 << 32) > ADDR_MASK + 1 - TOP_GUARD:
                 raise AllocError("large-frame address space exhausted")
             # The last slot is kept free so the final object's SA store at
             # EA+q stays inside the frame.
@@ -279,7 +282,7 @@ class SimMemory:
     def alloc_32(self, size: int, kind: str = "heap") -> int:
         sa = _align_up(self._bump32, 8)
         ea = sa + size
-        if ea + self.q + 8 >= 1 << 32:
+        if ea + self.q + 8 > (1 << 32) - TOP_GUARD:
             raise AllocError("32-bit address space exhausted")
         self._bump32 = ea + self.q + 8
         self.map_range(sa, ea + self.q + 8)

@@ -20,13 +20,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .analysis import CfgInfo
+from .heap import TOP_GUARD
 from .ir import Block, Function, Instr, Program, parse
 from .tagging import Mode
 from .verify import FunctionInfo, require_valid
 
 ALL_OPTS = ("qpad", "lower", "combine", "hoist")
 COMBINE_CAP = 1 << 22        # 4MB cap on combined constants
-LOWER_BOUND_CAP = 1 << 30    # 1GB cap for lower-bound elimination
 HOIST_CAP = 1 << 30
 
 ACCESS_OPS = ("load", "loadp", "store", "storep")
@@ -472,7 +472,8 @@ def _maybe_drop_lower(site: CheckSite) -> None:
             or site.var_key is not None:
         return
     c1, c2 = site.window
-    if 0 <= c1 <= c2 <= LOWER_BOUND_CAP:
+    # A window within TOP_GUARD of the KSA cannot wrap below it.
+    if 0 <= c1 <= c2 <= TOP_GUARD:
         site.status = LOWER_DROPPED
 
 

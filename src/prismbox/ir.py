@@ -18,9 +18,11 @@ Textual format (.pir), one instruction per line:
 `OPS` is the instruction grammar: each op's result type and operands.  The
 value-less ops (`store`, `storep`, `free`, `br`, `condbr`, `ret`) take no
 `%x =`.  A function's entry block holds no phi, since a call enters it on no
-edge that an incoming could name; a branch back to it is allowed.  Offsets are byte-granular; there are no first-class struct types.
-`null` is the untyped zero pointer literal.  `loadp`/`storep` move 8-byte
-pointer values and are the only way a pointer enters or leaves memory.
+edge that an incoming could name; a branch back to it is allowed.  A phi
+gives a predecessor one value on all its edges.  Offsets are byte-granular;
+there are no first-class struct types.  `null` is the untyped zero pointer
+literal.  `loadp`/`storep` move 8-byte pointer values and are the only way a
+pointer enters or leaves memory.
 """
 
 from __future__ import annotations

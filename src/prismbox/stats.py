@@ -40,8 +40,8 @@ class StatsReport:
             + self.elided_by["qpad"]
             + self.elided_by["combine"])
 
-    def to_dict(self, include_sites: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "schema": self.schema,
             "mode": self.mode,
             "q": self.q,
@@ -54,13 +54,11 @@ class StatsReport:
             "sa_fetch_fraction": self.sa_fetch_fraction,
             "xor_lower_paths": self.xor_lower_paths,
             "violations": self.violations,
+            "sites": self.sites,
         }
-        if include_sites:
-            out["sites"] = self.sites
-        return out
 
-    def to_json(self, include_sites: bool = True) -> str:
-        return json.dumps(self.to_dict(include_sites), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def build_report(iprog: InstrumentedProgram,

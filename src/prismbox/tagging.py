@@ -4,6 +4,9 @@ Layout (prism): bit 63 = frame class (0 small, 1 large), bits 47-62 = the
 16-bit tag-offset, bits 0-46 = raw address.  prism32 packs a full 32-bit
 end address into bits 32-63 and the raw address into bits 0-31.  pow2
 stores log2 of the aligned allocation size in the tag area.
+
+`decode_source` is each mode's one text for what the tag bounds; `compute_ea`,
+`decode_ea32`, `pow2_aligned_size` and the `checks` predicate are built on it.
 """
 
 from __future__ import annotations
@@ -50,12 +53,8 @@ class Mode:
             raise ValueError(f"unknown mode kind: {self.kind!r}")
         if self.q < 0:
             raise ValueError("q-padding must be non-negative")
-        object.__setattr__(self, "mask",
-                           ADDR_MASK_32 if self.is32 else ADDR_MASK)
-
-    @property
-    def is32(self) -> bool:
-        return self.kind == "prism32"
+        object.__setattr__(self, "mask", ADDR_MASK_32
+                           if self.kind == "prism32" else ADDR_MASK)
 
     def strip(self, value: int) -> int:
         return value & self.mask
@@ -90,15 +89,25 @@ def encode_prism(sa: int, ea: int, frame_class: FrameClass) -> int:
     return CLASS_BIT | (tag_offset << TAG_SHIFT) | sa
 
 
-def compute_ea(ksa: int) -> int:
-    """Reconstruct the end address from a prism-tagged value, no memory access."""
-    if ksa & CLASS_BIT == 0:
-        tag_offset = ksa >> TAG_SHIFT
-        frame_start = ksa & SMALL_FRAME_MASK
-        return frame_start + tag_offset
-    frame_offset = (ksa >> 31) & 0xFFFF_0000
-    frame_start = ksa & LARGE_FRAME_MASK
-    return frame_start + frame_offset
+def decode_source(kind: str, k: str) -> str:
+    """Python source of what the tag of the value named `k` bounds in mode
+    `kind`: the EA in prism and prism32, the aligned size in pow2.  It can
+    stand as an operand of a comparison.  `k` is read more than once."""
+    if kind == "pow2":          # log2 of the aligned size
+        return f"1 << ({k} >> {TAG_SHIFT})"
+    if kind == "prism32":       # the EA itself, in the tag area
+        return f"{k} >> 32"
+    # prism: the frame start plus the frame-relative tag offset
+    return (f"(({k} & {SMALL_FRAME_MASK:#x}) + ({k} >> {TAG_SHIFT})"
+            f" if {k} < {CLASS_BIT:#x} else ({k} & {LARGE_FRAME_MASK:#x}) + "
+            f"(({k} >> 31) & 0xFFFF0000))")
+
+
+# Each mode kind's decode as a function of the tagged value.
+DECODE = {kind: eval(f"lambda k: {decode_source(kind, 'k')}")
+          for kind in MODE_KINDS}
+compute_ea, decode_ea32, pow2_aligned_size = (
+    DECODE[kind] for kind in ("prism", "prism32", "pow2"))
 
 
 def encode_pow2(sa: int, log2_size: int) -> int:
@@ -115,10 +124,6 @@ def pow2_log(value: int) -> int:
     return value >> TAG_SHIFT
 
 
-def pow2_aligned_size(value: int) -> int:
-    return 1 << pow2_log(value)
-
-
 def encode_ea32(sa: int, ea: int) -> int:
     """32-bit mode: the full end address lives in bits 32-63."""
     if not 0 <= sa <= ea:
@@ -126,7 +131,3 @@ def encode_ea32(sa: int, ea: int) -> int:
     if ea > ADDR_MASK_32:
         raise EncodingError(f"ea {ea:#x} exceeds the 32-bit space")
     return (ea << 32) | sa
-
-
-def decode_ea32(value: int) -> int:
-    return value >> 32

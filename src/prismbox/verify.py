@@ -258,6 +258,12 @@ def _check_uses(info: FunctionInfo, where: dict, program: Program,
                             f"@{fn.name} ^{label}: phi incomings "
                             f"{got} do not match predecessors {want} "
                             f"(line {instr.line})")
+                    first = {}      # a condbr may name one target twice
+                    for v, lbl in instr.incomings:
+                        if first.setdefault(lbl, v) != v:
+                            diags.append(
+                                f"@{fn.name} ^{label}: phi %{instr.dest} has "
+                                f"two values from ^{lbl} (line {instr.line})")
 
 
 # The argument count of each extern kind that fixes one; `pure` takes any.

@@ -58,7 +58,8 @@ from .checks import (CheckOutcome, CheckStats, Reason, access_check,
                      escape_check, fast_pass)
 from .heap import (IN_BOUNDS, INVALID_ESCAPE, PAGE, AllocError, FreeError,
                    SimFault, SimMemory, classify)
-from .instrument import EXECUTING, LOWER_DROPPED, InstrumentedProgram
+from .instrument import (EXECUTING, LOWER_DROPPED, CheckSite,
+                         InstrumentedProgram)
 from .tagging import MASK64
 
 EXIT_OK = 0
@@ -169,10 +170,8 @@ class _FunctionPlans(dict):
         for instr in instrs:
             if instr.op != "phi":
                 break
-            incoming = {}
-            for value, pred in instr.incomings:
-                incoming.setdefault(pred, value)
-            phis.append((instr.dest, incoming))
+            phis.append((instr.dest, {pred: value for value, pred
+                                      in instr.incomings}))
         by_instr, by_origin = self.site_tables
         steps = []
         for instr in instrs[len(phis):]:
@@ -636,10 +635,10 @@ def _extern(vm, instr, env):
             raw = ptr & mask
             rec = vm.mem.record_at(raw)
             if classify(raw, length, rec) != IN_BOUNDS or not rec.live:
-                raise _Abort(ViolationReport(
-                    exit_code=EXIT_BOUNDS, reason=Reason.UPPER_BOUND.value,
-                    kind="boundary", sid=None, fn=instr.callee,
-                    line=instr.line, ksa=raw, ptr=raw, size=length))
+                # The boundary reports as a site with no sid.
+                at = CheckSite(None, "boundary", instr.callee, instr, instr,
+                               size=length)
+                vm._abort(at, at.kind, Reason.UPPER_BOUND, raw, raw)
         vm.mem.write(dst & mask, vm.mem.read(src & mask, length))
     env[instr.dest] = 0
 

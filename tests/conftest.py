@@ -115,6 +115,18 @@ fn @main(%n: int) {
 }
 """
 
+# A condbr with one target on both arms; the phi gives that one predecessor
+# two values, so the program has no single meaning.
+REPEATED_PRED_PHI_PIR = """\
+fn @main(%n: int) {
+^entry:
+  condbr %n, ^b, ^b
+^b:
+  %x = phi [1, ^entry], [2, ^entry]
+  ret %x
+}
+"""
+
 # Tagged values that pass the mode's bounds check for an 8-byte access at
 # the unmapped raw address 0x1000: pow2 claims a 2^46-byte object there,
 # prism a small frame whose end address is 0x2000.

@@ -11,6 +11,7 @@ from conftest import (
     ENTRY_PHI_PIR,
     FORGED_TAGS,
     RECURSIVE_PIR,
+    REPEATED_PRED_PHI_PIR,
     STRUCTURAL_DEFECTS,
     corpus_text,
     deep_program,
@@ -132,6 +133,9 @@ class TestRun:
         "entry_block_phi": (
             ENTRY_PHI_PIR, "error: @main ^entry: phi in the entry block "
                            "(line 3)"),
+        "repeated_predecessor_phi": (
+            REPEATED_PRED_PHI_PIR, "error: @main ^b: phi %x has two values "
+                                   "from ^entry (line 5)"),
     }
 
     @pytest.mark.parametrize("name", sorted(STATIC_ERRORS))

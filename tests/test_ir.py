@@ -2,8 +2,8 @@
 
 import pytest
 
-from conftest import (ENTRY_PHI_PIR, STRUCTURAL_DEFECTS, corpus_text,
-                      python_isolated)
+from conftest import (ENTRY_PHI_PIR, REPEATED_PRED_PHI_PIR,
+                      STRUCTURAL_DEFECTS, corpus_text, python_isolated)
 from prismbox import fuzz
 from prismbox.ir import (Block, Function, Instr, ParseError, parse,
                          print_program)
@@ -291,9 +291,11 @@ _TWO_WAY = """fn @main(%n: int) {
      "  extern @copy(%p, %p)\n  ret 0\n}\n",
      "@main: extern @copy with 2 args, expected 3 (line 5)"),
     (ENTRY_PHI_PIR, "@main ^entry: phi in the entry block (line 3)"),
+    (REPEATED_PRED_PHI_PIR,
+     "@main ^b: phi %x has two values from ^entry (line 5)"),
 ], ids=["missing_entry", "entry_param_not_int", "duplicate_param",
         "phi_value_not_dominating_edge", "phi_mixes_int_and_ptr",
         "call_arg_count", "extern_alloc_arg_count", "extern_copy_arg_count",
-        "entry_block_phi"])
+        "entry_block_phi", "repeated_predecessor_phi"])
 def test_validator_diagnostic(text, message):
     assert validate(parse(text)) == [message]

@@ -100,6 +100,25 @@ fn @main(%i: int) {
         assert v.ok and v.reason == "early-abort-at-widened-site"
         assert v.checks.exit_code == 2 and v.oracle.exit_code == 3
 
+    @pytest.mark.parametrize("q", [0, 8, 32])
+    def test_window_near_the_top_of_the_32_bit_space(self, q):
+        # Were %c placed near 4GB, %p would wrap below it when masked and
+        # pass the upper-bound check that the dropped lower bound leaves.
+        # The allocator keeps the top 1GB free, so %c fails in both runs.
+        text = """
+fn @main() {
+^entry:
+  %a = alloc 1400000000
+  %b = alloc 1400000000
+  %c = alloc 64
+  %p = gep %c, 536870912
+  %v = load %p, 8
+  ret %v
+}
+"""
+        v = differential(text, Mode("prism32", q))
+        assert (v.ok, v.reason) == (True, "both-vm-error")
+
     @pytest.mark.parametrize("planted,reason", [
         (ChecksVmError, "vm-error-mismatch (checks='planted', oracle=None)"),
         (ChecksWrongReturn, "return-value-mismatch")],

@@ -5,7 +5,9 @@ The front end and the VM may reject a program only with a `ParseError`, a
 as a Python traceback.  Programs come from two generators, in the spirit
 of Csmith (Yang et al., PLDI 2011): a Hypothesis strategy that writes
 `@main` bodies straight from the `ir.OPS` grammar, and small mutations of
-`fuzz.generate` programs.
+`fuzz.generate` programs.  A program also ends alike with each phi's
+incomings reversed: their order has no meaning, so a validator that let a
+predecessor bring two values would show here.
 
 Allocation sizes stay at or below 2^17 bytes.  Pages are mapped lazily, so
 a large allocation alone is cheap, but an `extern @copy` reads and writes
@@ -67,14 +69,40 @@ BODY_OPS = sorted(op for op in OPS if op != "phi" and op not in TERMINATORS)
 WILD = [False] * 9 + [True]
 
 
-def run_pipeline(text: str, mode: Mode) -> None:
-    """parse -> validate -> instrument -> run on both backends."""
+def outcome(text: str, mode: Mode):
+    """parse -> validate -> instrument -> run on both backends: the exit
+    code and return value of each run, or the error that ended them."""
     try:
         iprog = instrument(parse(text), mode)
-        for backend in ("checks", "oracle"):
-            VM(iprog, backend=backend, step_limit=STEP_LIMIT).run([3])
-    except (ParseError, ValidationError, VmError):
-        pass
+        runs = [VM(iprog, backend=backend, step_limit=STEP_LIMIT).run([3])
+                for backend in ("checks", "oracle")]
+    except (ParseError, ValidationError, VmError) as exc:
+        return type(exc).__name__
+    return [(run.exit_code, run.ret) for run in runs]
+
+
+_PHI_LINE = re.compile(r"(?m)^(\s*\S+ = phi )(.*)$")
+_INCOMING = re.compile(r"\[[^\]]*\]")
+
+
+def reverse_phis(text: str) -> str:
+    """The program with each well-formed phi's incomings in reverse order."""
+    def flip(m):
+        incomings = _INCOMING.findall(m[2])
+        if ", ".join(incomings) != m[2]:
+            return m[0]
+        return m[1] + ", ".join(reversed(incomings))
+    return _PHI_LINE.sub(flip, text)
+
+
+def run_pipeline(text: str, mode: Mode) -> None:
+    """Run `text` and, if it has a phi of two or more incomings, the same
+    program with them reversed.  Their order has no meaning, so a program
+    that validates must end alike both ways."""
+    got = outcome(text, mode)
+    flipped = reverse_phis(text)
+    if flipped != text:
+        assert outcome(flipped, mode) == got, flipped
 
 
 # ------------------------------------------------------ programs from OPS
@@ -83,25 +111,33 @@ class _Writer:
     """Draws one @main of up to three blocks whose lines follow `ir.OPS`.
 
     Most operands are values already defined with the type that the table
-    asks for, and most branches go forward to a later block, so that many
-    programs validate and run.  One choice in ten is wild: any op anywhere,
-    a reused name, or an operand or label from the whole pool above.
-    Allocation sizes are always literals, so no computed value reaches one.
+    asks for, so that many programs validate and run.  Each block's branch
+    targets are drawn before any block is written, so a phi can name every
+    predecessor.  A branch's first target is a later block; a condbr's
+    second may also be an earlier one (a back edge, to the entry block too)
+    or repeat the first.  A phi gives a repeated predecessor its first
+    value again or a second one.  The last block returns its phi, if it has
+    one, so that the phi's value shows.  Unless `wild` is false, one choice
+    in ten is wild: any op anywhere, a reused name, or an operand or label
+    from the whole pool above.  Allocation sizes are always literals, so no
+    computed value reaches one.
     """
 
-    def __init__(self, draw):
+    def __init__(self, draw, wild: bool):
         self.draw = draw
+        self.wild_choices = wild
         self.names = {"int": ["%n"], "ptr": []}
         self.fresh = itertools.count()
         self.blocks = LABELS[:draw(st.integers(1, 3))]
         self.preds = {label: [] for label in LABELS}
         self.block = self.blocks[0]
+        self.targets = []       # the drawn targets of the next terminator
 
     def pick(self, pool):
         return self.draw(st.sampled_from(pool))
 
     def wild(self) -> bool:
-        return self.pick(WILD)
+        return self.wild_choices and self.pick(WILD)
 
     def value(self, kind: str) -> str:
         if self.wild():
@@ -110,9 +146,10 @@ class _Writer:
             kind = self.pick(["int", "ptr"])
         return self.pick(self.names[kind] + LITERALS[kind])
 
-    def label(self) -> str:
-        later = self.blocks[self.blocks.index(self.block) + 1:]
-        target = self.pick(LABELS if self.wild() or not later else later)
+    def label(self, back: bool = False) -> str:
+        """A branch target: a later block, or with `back` any block."""
+        pool = self.blocks[0 if back else self.blocks.index(self.block) + 1:]
+        target = self.pick(LABELS if self.wild() or not pool else pool)
         self.preds[target].append(self.block)
         return target
 
@@ -126,9 +163,12 @@ class _Writer:
             return ", ".join([self.value("ptr")] + terms), "ptr"
         if op == "phi":
             kind = self.pick(["int", "ptr"])
-            preds = self.preds[self.block] or [self.pick(LABELS)]
-            return ", ".join(f"[{self.value(kind)}, {p}]"
-                             for p in preds), kind
+            values, incomings = {}, []
+            for p in self.preds[self.block] or [self.pick(LABELS)]:
+                if p not in values or self.draw(st.booleans()):
+                    values[p] = self.value(kind)
+                incomings.append(f"[{values[p]}, {p}]")
+            return ", ".join(incomings), kind
         if op == "select":
             kind = self.pick(["int", "ptr"])
             return (f"{self.value('int')}, {self.value(kind)}, "
@@ -146,7 +186,8 @@ class _Writer:
             elif kind == "@":
                 args.append(self.pick(SYMBOLS if self.wild() else ["@g"]))
             elif kind == "^":
-                args.append(self.label())
+                args.append(self.targets.pop() if self.targets
+                            else self.label())
             else:
                 args.append(self.value(kind))
         if op in ("icmp", "ptrcmp"):
@@ -165,31 +206,48 @@ class _Writer:
         return f"  {dest} = {op} {text}".rstrip()
 
     def program(self) -> str:
+        ends = {}
+        for self.block in self.blocks:
+            op = ("ret" if self.block == self.blocks[-1]
+                  else self.pick(["br", "condbr"]))
+            ends[self.block] = op, [self.label(back=n > 0) for n in
+                                    range({"br": 1, "condbr": 2}.get(op, 0))]
         lines = [HEADER, "fn @main(%n: int) {"]
         for self.block in self.blocks:
             lines.append(f"{self.block}:")
+            phi = None
             if self.preds[self.block] and self.draw(st.booleans()):
                 lines.append(self.line("phi"))
+                phi = lines[-1].split()[0]
             for _ in range(self.draw(st.integers(0, 5))):
                 ops = sorted(OPS) if self.wild() else BODY_OPS
                 lines.append(self.line(self.pick(ops)))
             if self.wild():
                 continue
-            last = self.block == self.blocks[-1]
-            lines.append(self.line("ret" if last else
-                                   self.pick(["br", "condbr"])))
+            op, targets = ends[self.block]
+            self.targets = targets[::-1]
+            lines.append(f"  ret {phi}" if op == "ret" and phi
+                         else self.line(op))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
 
 @st.composite
-def op_programs(draw) -> str:
-    return _Writer(draw).program()
+def op_programs(draw, wild: bool = True) -> str:
+    return _Writer(draw, wild).program()
 
 
 @settings(max_examples=300, deadline=None)
 @given(op_programs(), st.sampled_from(MODES))
 def test_programs_from_ops_end_in_a_defined_outcome(text, mode):
+    run_pipeline(text, mode)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op_programs(wild=False), st.sampled_from(MODES))
+def test_programs_without_wild_choices_end_in_a_defined_outcome(text, mode):
+    # Most of these validate, so their phis, loop-carried ones and those of
+    # a repeated predecessor included, reach the VM.
     run_pipeline(text, mode)
 
 
