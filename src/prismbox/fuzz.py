@@ -344,6 +344,7 @@ def campaign(seed: int, count: int, mode: Mode, config: str = "mixed",
     """Differential-fuzz `count` programs; persist any mismatching case."""
     cases = [(seed + i, mode.kind, mode.q, config, tuple(opts))
              for i in range(count)]
+    workers = min(workers, count)   # no process without a case to run
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             results = pool.map(_run_case, cases, chunksize=64)

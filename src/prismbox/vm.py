@@ -39,9 +39,13 @@ On `checks`, an executing Access or LoopHoisted site tests
 elsewhere `VM._check_access` decides, counts and aborts as interpreted.
 An Escape site of a named value does what `escape_check` does: no check
 where a phi or select equals its KSA, else the zero-size `fast_pass`, else
-`VM._check_escape`.  A literal escape and all `oracle` sites call their
-handler.  Steps stay exact
-under one contract: a block whose steps would cross the limit is run by the
+`VM._check_escape`; a literal escape calls its handler.  An `oracle` site
+(an Escape site only for a non-null value) tests classify's IN_BOUNDS case
+inline on the record `SimMemory.record_at` gives for its KSA, and calls
+`VM._oracle_check` only where that fails.  Later sites of a KSA reuse the
+record a non-Escape site found for it until a step runs a handler, as only
+an allocation changes what `record_at` finds.  Steps stay exact under one
+contract: a block whose steps would cross the limit is run by the
 interpreter instead, which raises; otherwise its steps are added to
 `vm.steps` when it returns or raises.
 """
@@ -50,7 +54,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import count
 from typing import NamedTuple
 
@@ -92,17 +96,8 @@ class ViolationReport:
     size: int
 
     def to_dict(self) -> dict:
-        return {
-            "exit_code": self.exit_code,
-            "reason": self.reason,
-            "kind": self.kind,
-            "sid": self.sid,
-            "fn": self.fn,
-            "line": self.line,
-            "ksa": f"{self.ksa:#x}",
-            "ptr": f"{self.ptr:#x}",
-            "size": self.size,
-        }
+        return {**asdict(self), "ksa": f"{self.ksa:#x}",
+                "ptr": f"{self.ptr:#x}"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -220,17 +215,10 @@ class _FunctionPlans(dict):
             for (dest, _), local in zip(phis, targets):
                 head.append(f"env[{dest!r}] = {local}")
                 names[dest] = local
-        # i counts the steps taken, added to vm.steps on the way out.
-        counted = len({dest for dest, _ in phis})
-        for j, (instr, handler, sites) in enumerate(steps):
-            op, dest, args, size = (instr.op, instr.dest, instr.operands,
-                                    instr.size)
-            ns[f"I{j}"], ns[f"S{j}"] = instr, sites and sites[which]
-            counted += 1
-            out.append(f"i = {counted}")
-            if which and sites and sites[1]:
-                out.append(f"vm._oracle_sites(S{j}, I{j}, env)")
-            for n, site in enumerate(sites[0] if sites and not which else ()):
+
+        # Each backend's site text, and the line binding what it uses.
+        def check_sites(j, instr, sites):
+            for n, site in enumerate(sites):
                 call, test = f"vm._check_access(S{j}[{n}], I{j}, env)", "if"
                 if site.kind == "Escape":
                     call = f"vm._check_escape(S{j}[{n}], env)"
@@ -239,8 +227,8 @@ class _FunctionPlans(dict):
                         continue
                     # As escape_check: a zero-size check of the stripped
                     # value, none at all where a phi or select is its KSA.
-                    out += [f"p = {read(site.escape_value)} & {mask}",
-                            f"k = {read(site.ksa)}"]
+                    out.extend([f"p = {read(site.escape_value)} & {mask}",
+                                f"k = {read(site.ksa)}"])
                     if site.maybe_equal:
                         out.append(f"if p == k & {mask}: pass")
                         test = "elif"
@@ -256,8 +244,43 @@ class _FunctionPlans(dict):
                     out.append(f"p = {ptr}")
                     guard = fast_pass(self.mode, "k", "p", span,
                                       site.status == LOWER_DROPPED)
-                out += [f"{test} {guard}:", "    stats.dynamic_checks += 1",
-                        f"else: {call}"]
+                out.extend([f"{test} {guard}:", "    stats.dynamic_checks += 1",
+                            f"else: {call}"])
+
+        def oracle_sites(j, instr, sites):
+            # As _oracle_sites, with classify's IN_BOUNDS case inline;
+            # _oracle_check looks again where it fails.
+            for n, site in enumerate(sites):
+                pad = ""
+                if site.kind == "Escape":   # storing null is legitimate
+                    out.extend([f"a = {read(site.escape_value)} & {mask}",
+                                "if a:"])
+                    pad = "    "
+                else:
+                    out.append(f"a = {read(site.origin.operands[0])} & {mask}")
+                r = records.get(site.ksa)
+                if r is None:
+                    r = f"r{next(fresh)}"
+                    out.append(f"{pad}{r} = at({read(site.ksa, not pad)} & "
+                               f"{mask}, {read(site.ksa, False)})")
+                    if not pad:
+                        records[site.ksa] = r
+                out.append(f"{pad}if {r} is None or a < {r}.sa or a + "
+                           f"{site.size} > {r}.ea: vm._oracle_check(S{j}[{n}]"
+                           f", {read(site.ksa, False)}, a)")
+
+        run_sites, prologue = ((check_sites, "stats = vm.stats"),
+                               (oracle_sites, "at = mem.record_at"))[which]
+        records = {}    # KSA -> its record's local, until a handler runs
+        # i counts the steps taken, added to vm.steps on the way out.
+        counted = len({dest for dest, _ in phis})
+        for j, (instr, handler, sites) in enumerate(steps):
+            op, dest, args, size = (instr.op, instr.dest, instr.operands,
+                                    instr.size)
+            ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
+            counted += 1
+            out.append(f"i = {counted}")
+            run_sites(j, instr, ns[f"S{j}"])
             if op in ("load", "loadp", "store", "storep"):
                 out += [f"a = {read(args[0])} & {mask}", "o = a & 0xFFFF",
                         "g = get(a - o)"]
@@ -299,10 +322,11 @@ class _FunctionPlans(dict):
                 ns[f"H{j}"] = handler
                 out.append(f"H{j}(vm, I{j}, env)")
                 names.pop(dest, None)   # set in env alone
+                records.clear()
         src = "\n    ".join(
             ["def block(vm, env, prev):",
              f"if vm.steps > vm.step_limit - {counted}: return None", *head,
-             "mem, stats = vm.mem, vm.stats", "get = mem.pages.get", "try:",
+             "mem = vm.mem", prologue, "get = mem.pages.get", "try:",
              *("    " + line for line in out), "finally:", "    vm.steps += i"])
         exec(compile(src, f"<block {label}>", "exec"), ns)
         return ns.pop("block")      # no cycle through its globals

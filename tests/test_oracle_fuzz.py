@@ -1,5 +1,7 @@
 """Exact-bounds oracle, differential harness, and generator tests."""
 
+import multiprocessing
+
 import pytest
 
 from conftest import (RECURSIVE_PIR, ChecksVmError, ChecksWrongReturn,
@@ -167,6 +169,33 @@ class TestCampaign:
         summary = fuzz.campaign(seed=11, count=60, mode=Mode("prism", 8))
         assert summary["mismatches"] == []
         assert summary["ok"] == 60
+
+    @pytest.mark.parametrize("count,workers,pools", [
+        (2, 8, [2]), (5, 3, [3]), (1, 4, []), (0, 2, [])])
+    def test_campaign_pool_is_no_larger_than_its_cases(
+            self, monkeypatch, count, workers, pools):
+        sizes = []
+
+        class SerialPool:
+            """Records its size and maps in this process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        summary = fuzz.campaign(seed=11, count=count, mode=Mode("prism", 8),
+                                workers=workers)
+        assert sizes == pools
+        assert summary["ok"] == count
 
     def test_campaign_persists_repro(self, tmp_path):
         # Break the predicate via a doctored instrumented program by running
