@@ -566,6 +566,14 @@ def _leaves_only_from_header(cfg: CfgInfo, loop) -> bool:
 
 
 def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
+    # The candidate sites of each function and induction name, in site order.
+    candidates = {}
+    for site in iprog.sites:
+        if (site.kind == "Access" and site.executes
+                and site.var_key is not None and not site.widened
+                and len(site.var_key[1]) == 1):
+            key = site.fn, site.var_key[1][0][0]
+            candidates.setdefault(key, []).append(site)
     for fn_name, cfg in iprog.cfgs.items():
         info = iprog.infos[fn_name]
         for loop in cfg.loops:
@@ -577,14 +585,9 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
                 continue
             ind_name, start, last, body_entry = ind
             preheader_term = cfg.fn.block(loop.preheader).terminator
-            for site in iprog.sites:
-                if (site.fn != fn_name or site.kind != "Access"
-                        or not site.executes or site.var_key is None
-                        or site.widened):
-                    continue
-                _, terms = site.var_key
-                if len(terms) != 1 or terms[0][0] != ind_name:
-                    continue
+            # An induction phi heads one loop, so no site comes up twice.
+            for site in candidates.get((fn_name, ind_name), ()):
+                terms = site.var_key[1]
                 block, _ = cfg.position(site.instr)
                 if block not in loop.body:
                     continue

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .heap import (IN_BOUNDS, IN_PADDING, INVALID_ESCAPE, OOB,  # noqa: F401
-                   classify)
+from .heap import IN_BOUNDS, IN_PADDING, classify
 from .instrument import ALL_OPTS, ELIDED_Q, InstrumentedProgram, instrument
 from .ir import parse
 from .tagging import Mode

@@ -1,53 +1,41 @@
 """Deterministic interpreter for instrumented programs.
 
-Two check backends share the execution engine: 'checks' runs the sandbox
-predicates exactly as instrumented (honoring elisions, lower-bound drops,
-and hoisted sites), while 'oracle' classifies every access and escape
-against the exact allocation records, consulting an allowance callback for
-divergences the instrumentation admits by design.  The oracle finds a
-record through the heap's one index (`SimMemory.record_at`), keyed by the
-tagged KSA: stack addresses are reused once a frame is popped, so the
-address alone cannot tell a live object from a dead one at the same place.
+Two check backends share the engine: 'checks' runs the sandbox predicates
+as instrumented (honoring elisions, lower-bound drops and hoisted sites);
+'oracle' classifies every access and escape against the exact allocation
+records, found by tagged KSA through `SimMemory.record_at` (a reused stack
+address alone cannot tell a live object from a dead one), and asks an
+allowance callback about divergences the instrumentation admits.
 
-Op semantics live in one table, `HANDLERS`: one function per op, called as
-`handler(vm, instr, frame)`.  A handler stores its result in the frame
-under `instr.dest` and returns None; `br` and `condbr` return the label of
-the next block, and `ret` returns a `_Return`.  A frame maps each value
-name to its value and reads a literal operand as itself, so a handler
-reads every operand the same way.
+Op semantics live in one table, `HANDLERS`: `handler(vm, instr, frame)`
+stores its result in the frame under `instr.dest` and returns None; `br`
+and `condbr` return the next block's label and `ret` a `_Return`.  A frame
+maps each value name to its value and reads a literal operand as itself.
+Blocks run from plans: a block's phis, each with its incoming value by
+predecessor, and its other instructions as `(instr, handler, sites)`
+steps, `sites` being None or the sites each backend runs there.  A plan is
+decoded on first entry and cached per function on the program
+(`iprog.plans`), so the runs of one differential share one decode.
 
-The engine runs blocks from plans.  A block's plan is its phi prefix, each
-phi with its incoming value by predecessor label, and its other
-instructions as `(instr, handler, sites)` steps; `sites` is None, or the
-instruction's check sites for each backend, those that never run already
-left out.  A block is decoded on its first entry, and its plan is cached
-per function on the `InstrumentedProgram` (`iprog.plans`), not on the VM:
-the two runs of one differential, and any repeated run, share one decode.
-
-Blocks run in two tiers.  A backend counts each block's entries on the
-function's plans and, on entry HOT_THRESHOLD, compiles the block with
-`compile()` into one Python function kept with the plans, so
-`InstrumentedProgram.rebuild_index()` drops it with them.  A block that
-holds a call, and every block of a traced run, stays on the interpreter.
-A compiled block copies its phis on the edge from `prev` at once, then
-inlines gep, arithmetic, compares, select, mask, br, condbr, ret, loads
-within one mapped page and stores within one written page (others call
-`SimMemory.read_int`/`write_int`); every other op runs its handler.
-On `checks`, an executing Access or LoopHoisted site tests
-`checks.fast_pass` inline on the window that `_window` gives, as
-`VM._check_access` does, and where it holds only counts the check;
-elsewhere `VM._check_access` decides, counts and aborts as interpreted.
-An Escape site of a named value does what `escape_check` does: no check
-where a phi or select equals its KSA, else the zero-size `fast_pass`, else
-`VM._check_escape`; a literal escape calls its handler.  An `oracle` site
-(an Escape site only for a non-null value) tests classify's IN_BOUNDS case
-inline on the record `SimMemory.record_at` gives for its KSA, and calls
-`VM._oracle_check` only where that fails.  Later sites of a KSA reuse the
-record a non-Escape site found for it until a step runs a handler, as only
-an allocation changes what `record_at` finds.  Steps stay exact under one
-contract: a block whose steps would cross the limit is run by the
-interpreter instead, which raises; otherwise its steps are added to
-`vm.steps` when it returns or raises.
+Hot code runs compiled.  A backend counts block entries on the plans and,
+on entry HOT_THRESHOLD, compiles the region the block heads into one
+Python function kept with the plans (`InstrumentedProgram.rebuild_index()`
+drops it): the union of the block's natural loops if no block of theirs
+holds a call, else the block alone.  A block that holds a call, and every
+block of a traced run, stays interpreted.  A region loops over its blocks
+with the label in a local, keeps the values it defines in locals, and
+writes one to the frame only before a handler or slow path that reads it
+and on leaving.  It inlines pure ops, branches, ret, loads within one
+mapped page and stores within one written page.  A `checks` site tests
+`checks.fast_pass` on `_window`'s window (an Escape site first skips a phi
+or select equal to its KSA, as `escape_check` does) and calls
+`VM._check_access` or `VM._check_escape` only where that fails.  An
+`oracle` site tests classify's IN_BOUNDS case on the record `record_at`
+gives for its KSA, shared by the KSA's later sites in the block until a
+step runs a handler (only an allocation changes it), and calls
+`VM._oracle_check` with it only where that fails.  Steps stay exact: a
+region hands a block whose steps would cross the limit back to the
+interpreter, which raises; else it adds its steps to `vm.steps` on exit.
 """
 
 from __future__ import annotations
@@ -150,11 +138,12 @@ class _Frame(dict):
 
 class _FunctionPlans(dict):
     """One function's block plans by label, each decoded on first entry,
-    and for each backend its compiled blocks and block entry counts."""
+    and for each backend its compiled regions and block entry counts."""
 
     def __init__(self, iprog: InstrumentedProgram, fn):
         super().__init__()
         self.blocks = fn.blockmap()
+        self.cfg = iprog.cfgs[fn.name]
         self.site_tables = (iprog.sites_by_instr, iprog.sites_by_origin)
         self.mode = iprog.mode
         self.tiers = (({}, {}), ({}, {}))
@@ -170,166 +159,211 @@ class _FunctionPlans(dict):
         by_instr, by_origin = self.site_tables
         steps = []
         for instr in instrs[len(phis):]:
-            checks = by_instr.get(id(instr))
-            exact = by_origin.get(id(instr))
-            sites = None
-            if checks is not None or exact is not None:
-                sites = ([s for s in checks or ()
-                          if s.kind == "Escape" or s.status in EXECUTING],
-                         exact or ())
+            checks = by_instr.get(id(instr), ())
+            exact = by_origin.get(id(instr), ())
+            sites = ([s for s in checks if s.kind == "Escape"
+                      or s.status in EXECUTING], exact) \
+                if checks or exact else None
             steps.append((instr, HANDLERS[instr.op], sites))
         plan = self[label] = (tuple(phis), steps)
         return plan
 
     def compile_block(self, label: str, which: int):
-        """Block `label` as one function `(vm, env, prev)` that runs the
-        site list `which` of each step, or None if the block holds a call."""
-        phis, steps = self[label]
-        if any(instr.op == "call" for instr, _, _ in steps):
+        """The region block `label` heads as a function `(vm, env, prev)`
+        running site list `which`, or None if the block holds a call.  It
+        returns the block it left by and that block's result, or None to
+        have the interpreter run block `label`."""
+        cfg = self.cfg
+        region = set().union(*(loop.body for loop in cfg.loops
+                               if loop.header == label)) & cfg.reachable
+        calls = {b for b in region | {label}
+                 if any(instr.op == "call" for instr, _, _ in self[b][1])}
+        if label in calls:
             return None
+        order = [label] + [b for b in self.blocks
+                           if b in region and b != label and not calls]
+        length = {b: len(self[b][0]) + len(self[b][1]) for b in order}
         mask, m64, fresh = f"{self.mode.mask:#x}", f"{MASK64:#x}", count()
-        ns = {"VmError": VmError, "_Return": _Return,
-              "from_bytes": int.from_bytes}
-        names, head, out = {}, [], []   # value -> its local; source lines
+        ns = {"_Return": _Return, "from_bytes": int.from_bytes}
+        # Each value the region defines has a local; one it computes inline
+        # (kept, with its block) reaches the frame only where spilled.
+        names, kept, head, entry, body = {}, {}, [], [], []
+        for b in order:
+            for instr in self.blocks[b].instrs:
+                if instr.dest is not None:
+                    names[instr.dest] = f"v{next(fresh)}"
+                    if instr.op in _INLINE:
+                        kept[instr.dest] = b
 
-        def read(v, bind=True):
-            # An unconditional read binds a local that later reads use.
+        def read(v):
             if not isinstance(v, str):
                 return str(v & MASK64)
-            if v in names or not bind:
-                return names.get(v, f"env[{v!r}]")
-            names[v] = f"v{next(fresh)}"
-            return f"({names[v]} := env[{v!r}])"
+            if v not in names:
+                names[v] = f"v{next(fresh)}"
+                entry.append(f"{names[v]} = env[{v!r}]")
+            return names[v]
 
-        def define(dest, expr):
-            names[dest] = local = f"v{next(fresh)}"
-            out.append(f"{local} = env[{dest!r}] = {expr}")
+        def spill(values):
+            return [f"env[{v!r}] = {names[v]}" for v in values if v in kept]
 
-        if phis:
-            # The parallel copy of the edge from prev.
-            targets = [f"v{next(fresh)}" for _ in phis]
-            for n, pred in enumerate(phis[0][1]):
-                head += [f"{'elif' if n else 'if'} prev == {pred!r}:",
-                         f"    {', '.join(targets)} = " + ", ".join(
-                             read(inc[pred], False) for _, inc in phis)]
-            for (dest, _), local in zip(phis, targets):
-                head.append(f"env[{dest!r}] = {local}")
-                names[dest] = local
+        def copy(to, pred, source):
+            # The parallel copy of to's phis on the edge from pred.
+            phis = self[to][0]
+            return [", ".join(names[d] for d, _ in phis) + " = " + ", ".join(
+                source(inc[pred]) for _, inc in phis)] if phis else []
 
-        # Each backend's site text, and the line binding what it uses.
+        def leave(b, to):
+            # Leave by the edge b -> to, with the values defined on the way
+            # there in the frame, or copy to's phis and go on.
+            back = spill(v for v, d in kept.items()
+                         if cfg.block_dominates(d, b)) + [
+                f"i = {length[b]}", f"return {b!r}, {to!r}"]
+            if to not in order:
+                return back
+            # Hand `to` back if its steps would cross the limit.
+            return [f"if s > limit - {length[b] + length[to]}:",
+                    *_indent(back), f"s += {length[b]}", *copy(to, b, read),
+                    f"b = {order.index(to)}"] + ["continue"] * (
+                        order.index(to) <= order.index(b))
+
+        # Each backend's site text.  At a load or store, `a` already holds
+        # the step's stripped address.
         def check_sites(j, instr, sites):
             for n, site in enumerate(sites):
                 call, test = f"vm._check_access(S{j}[{n}], I{j}, env)", "if"
+                k, value, p = read(site.ksa), site.escape_value, "p"
                 if site.kind == "Escape":
                     call = f"vm._check_escape(S{j}[{n}], env)"
-                    if not isinstance(site.escape_value, str):
+                    if not isinstance(value, str):
                         out.append(call)
                         continue
                     # As escape_check: a zero-size check of the stripped
                     # value, none at all where a phi or select is its KSA.
-                    out.extend([f"p = {read(site.escape_value)} & {mask}",
-                                f"k = {read(site.ksa)}"])
+                    out.append(f"p = {read(value)} & {mask}")
                     if site.maybe_equal:
-                        out.append(f"if p == k & {mask}: pass")
+                        out.append(f"if p == {k} & {mask}: pass")
                         test = "elif"
-                    guard = fast_pass(self.mode, "k", "p", 0)
+                    guard = fast_pass(self.mode, k, p, 0)
                 else:
-                    out.append(f"k = {read(site.ksa)}")
                     value, offset, span, wraps = _window(site, instr)
-                    ptr = f"{read(value)} & {mask}"
-                    if offset:
-                        ptr = f"({ptr}) + {offset}"
-                    if wraps:
-                        ptr = f"({ptr}) & {m64}"
-                    out.append(f"p = {ptr}")
-                    guard = fast_pass(self.mode, "k", "p", span,
+                    if offset or wraps:
+                        ptr = f"({read(value)} & {mask}) + {offset}"
+                        out.append(f"p = ({ptr}) & {m64}" if wraps else
+                                   f"p = {ptr}")
+                    else:           # the window is the step's address
+                        p = "a"
+                    guard = fast_pass(self.mode, k, p, span,
                                       site.status == LOWER_DROPPED)
                 out.extend([f"{test} {guard}:", "    stats.dynamic_checks += 1",
-                            f"else: {call}"])
+                            "else:", *_indent(spill((site.ksa, value))),
+                            f"    {call}"])
 
         def oracle_sites(j, instr, sites):
-            # As _oracle_sites, with classify's IN_BOUNDS case inline;
-            # _oracle_check looks again where it fails.
+            # As _oracle_sites, with classify's IN_BOUNDS case inline.
             for n, site in enumerate(sites):
-                pad = ""
+                pad, k, addr = "", read(site.ksa), "a"
                 if site.kind == "Escape":   # storing null is legitimate
-                    out.extend([f"a = {read(site.escape_value)} & {mask}",
-                                "if a:"])
-                    pad = "    "
-                else:
-                    out.append(f"a = {read(site.origin.operands[0])} & {mask}")
+                    out.extend([f"e = {read(site.escape_value)} & {mask}",
+                                "if e:"])
+                    pad, addr = "    ", "e"
                 r = records.get(site.ksa)
                 if r is None:
                     r = f"r{next(fresh)}"
-                    out.append(f"{pad}{r} = at({read(site.ksa, not pad)} & "
-                               f"{mask}, {read(site.ksa, False)})")
+                    out.append(f"{pad}{r} = at({k} & {mask}, {k})")
                     if not pad:
                         records[site.ksa] = r
-                out.append(f"{pad}if {r} is None or a < {r}.sa or a + "
-                           f"{site.size} > {r}.ea: vm._oracle_check(S{j}[{n}]"
-                           f", {read(site.ksa, False)}, a)")
+                out.append(f"{pad}if {r} is None or {addr} < {r}.sa or "
+                           f"{addr} + {site.size} > {r}.ea: vm._oracle_check("
+                           f"S{j}[{n}], {k}, {addr}, {r})")
 
         run_sites, prologue = ((check_sites, "stats = vm.stats"),
                                (oracle_sites, "at = mem.record_at"))[which]
-        records = {}    # KSA -> its record's local, until a handler runs
-        # i counts the steps taken, added to vm.steps on the way out.
-        counted = len({dest for dest, _ in phis})
-        for j, (instr, handler, sites) in enumerate(steps):
-            op, dest, args, size = (instr.op, instr.dest, instr.operands,
-                                    instr.size)
-            ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
-            counted += 1
-            out.append(f"i = {counted}")
-            run_sites(j, instr, ns[f"S{j}"])
-            if op in ("load", "loadp", "store", "storep"):
-                out += [f"a = {read(args[0])} & {mask}", "o = a & 0xFFFF",
-                        "g = get(a - o)"]
-                if op[0] == "l":
-                    define(dest, f"from_bytes(g[o:o + {size}], 'little') if "
-                           f"g is not None and o <= {PAGE - size} else "
-                           f"mem.read_int(a, {size})")
-                    continue
-                out += [f"x = {read(args[1])}",
-                        f"if isinstance(g, bytearray) and o <= {PAGE - size}:",
-                        f"    g[o:o + {size}] = (x & {(1 << 8 * size) - 1:#x})"
-                        f".to_bytes({size}, 'little')",
-                        f"else: mem.write_int(a, {size}, x)"]
-            elif op == "gep":
-                define(dest, f"({read(args[0])} + {instr.gep_const}" + "".join(
-                    f" + {read(v)} * {scale}" for v, scale in instr.gep_terms)
-                       + f") & {m64}")
-            elif op in _ARITH:
-                define(dest, f"({read(args[0])} {_PY_OPS[op]} "
-                       f"{read(args[1])}) & {m64}")
-            elif op in ("icmp", "ptrcmp"):
-                a, b = read(args[0]), read(args[1])
-                if op == "icmp" and instr.cmp not in ("eq", "ne"):
-                    # Flipping the sign bit orders 64-bit values as signed.
-                    a, b = f"({a} ^ {1 << 63:#x})", f"({b} ^ {1 << 63:#x})"
-                define(dest, f"1 if {a} {_PY_OPS[instr.cmp]} {b} else 0")
-            elif op == "select":
-                define(dest, f"{read(args[1], False)} if {read(args[0])} "
-                       f"else {read(args[2], False)}")
-            elif op == "mask":
-                define(dest, f"{read(args[0])} & {mask}")
-            elif op in ("br", "condbr"):
-                then, *other = map(repr, instr.labels)
-                out.append(f"return {then}" if op == "br" else
-                           f"return {then} if {read(args[0])} else {other[0]}")
-            elif op == "ret":
-                out.append(f"return _Return({read(args[0]) if args else None})")
-            else:                       # run by its handler
-                ns[f"H{j}"] = handler
-                out.append(f"H{j}(vm, I{j}, env)")
-                names.pop(dest, None)   # set in env alone
-                records.clear()
+        for n, b in enumerate(order):
+            phis, steps = self[b]
+            # i counts the block's steps taken, for vm.steps on the way out.
+            out, records, i = [], {}, len(phis)
+            for instr, handler, sites in steps:
+                op, dest, args, size = (instr.op, instr.dest, instr.operands,
+                                        instr.size)
+                i += 1
+                j = next(fresh)
+                ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
+                out.append(f"i = {i}")
+                if op in _MEMORY:
+                    out.append(f"a = {read(args[0])} & {mask}")
+                run_sites(j, instr, ns[f"S{j}"])
+                if op not in _INLINE:       # run by its handler
+                    ns[f"H{j}"] = handler
+                    out += [*spill(args), f"H{j}(vm, I{j}, env)"]
+                    if dest is not None:
+                        out.append(f"{names[dest]} = env[{dest!r}]")
+                    records.clear()
+                elif op in _MEMORY:
+                    out += ["o = a & 0xFFFF", "g = get(a - o)"]
+                    if op[0] == "l":
+                        out.append(
+                            f"{names.get(dest, '_')} = from_bytes(g[o:o + "
+                            f"{size}], 'little') if g is not None and o <= "
+                            f"{PAGE - size} else mem.read_int(a, {size})")
+                        continue
+                    x = read(args[1])
+                    out += [f"if isinstance(g, bytearray) and o <= "
+                            f"{PAGE - size}:", f"    g[o:o + {size}] = ({x} & "
+                            f"{(1 << 8 * size) - 1:#x}).to_bytes({size}, "
+                            "'little')", f"else: mem.write_int(a, {size}, {x})"]
+                elif op in _PURE:
+                    out.append(f"{names.get(dest, '_')} = "
+                               + _pure_source(instr, read, mask))
+                elif op == "ret":
+                    out.append(f"return {b!r}, _Return("
+                               f"{read(args[0]) if args else None})")
+                elif op == "br":
+                    out += leave(b, instr.labels[0])
+                else:
+                    then, other = (leave(b, to) for to in instr.labels)
+                    out += [f"if {read(args[0])}:", *_indent(then), "else:",
+                            *_indent(other)]
+            body += [f"if b == {n}:", *_indent(out)] \
+                if len(order) > 1 else out
+        phis = self[label][0]
+        for n, pred in enumerate(phis[0][1] if phis else ()):
+            # Entered from prev, the region reads its phis from the frame.
+            head += [f"{'elif' if n else 'if'} prev == {pred!r}:", *_indent(
+                copy(label, pred, lambda v: f"env[{v!r}]"
+                     if isinstance(v, str) else read(v)))]
         src = "\n    ".join(
-            ["def block(vm, env, prev):",
-             f"if vm.steps > vm.step_limit - {counted}: return None", *head,
-             "mem = vm.mem", prologue, "get = mem.pages.get", "try:",
-             *("    " + line for line in out), "finally:", "    vm.steps += i"])
-        exec(compile(src, f"<block {label}>", "exec"), ns)
-        return ns.pop("block")      # no cycle through its globals
+            ["def region(vm, env, prev):", "s = vm.steps",
+             f"if s > vm.step_limit - {length[label]}: return None", *head,
+             "mem = vm.mem", prologue, "get = mem.pages.get",
+             "limit = vm.step_limit", "b = 0", *entry, "try:",
+             "    while True:", *_indent(_indent(body)),
+             "finally:", "    vm.steps = s + i"])
+        exec(compile(src, f"<region {label}>", "exec"), ns)
+        return ns.pop("region")     # no cycle through its globals
+
+
+def _indent(lines) -> list:
+    return ["    " + line for line in lines]
+
+
+def _pure_source(instr, read, mask: str) -> str:
+    """Python source of pure `instr`'s value, each operand's as `read`."""
+    op, args = instr.op, [read(v) for v in instr.operands]
+    if op == "gep":
+        return f"({args[0]} + {instr.gep_const}" + "".join(
+            f" + {read(v)} * {scale}" for v, scale in instr.gep_terms) \
+            + f") & {MASK64:#x}"
+    if op == "select":
+        return f"{args[1]} if {args[0]} else {args[2]}"
+    if op == "mask":
+        return f"{args[0]} & {mask}"
+    x, y = args
+    if op in _ARITH:
+        return f"({x} {_PY_OPS[op]} {y}) & {MASK64:#x}"
+    if op == "icmp" and instr.cmp not in ("eq", "ne"):
+        # Flipping the sign bit orders 64-bit values as signed.
+        x, y = f"({x} ^ {1 << 63:#x})", f"({y} ^ {1 << 63:#x})"
+    return f"1 if {x} {_PY_OPS[instr.cmp]} {y} else 0"
 
 
 def _window(site, instr) -> tuple:
@@ -423,8 +457,9 @@ class VM:
                 entries[label] = n = entries.get(label, 0) + 1
                 if n == hot:
                     code = compiled[label] = plans.compile_block(label, which)
-            # A compiled block returns None to be run here instead.
-            if code is None or (nxt := code(self, env, prev)) is None:
+            # A region returns the block it left by and that block's result,
+            # or None to have its first block run here instead.
+            if code is None or (left := code(self, env, prev)) is None:
                 phis, steps = plans[label]
                 if phis:
                     # Phis read the environment as of block entry, at once.
@@ -442,6 +477,8 @@ class VM:
                     if sites is not None:
                         run_sites(self, sites[which], instr, env)
                     nxt = handler(self, instr, env)
+            else:
+                label, nxt = left
             if isinstance(nxt, str):
                 prev, label = label, nxt
                 continue
@@ -508,22 +545,20 @@ class VM:
     # --------------------------------------------------------- oracle backend
 
     def _oracle_sites(self, sites, instr, env) -> None:
+        mask = self.mode.mask
         for site in sites:
-            if site.kind != "Escape":
+            escape = site.kind == "Escape"
+            addr = env[site.escape_value if escape
+                       else site.origin.operands[0]] & mask
+            if addr or not escape:  # storing null is always legitimate
                 ksa = env[site.ksa]
-                addr = env[site.origin.operands[0]] & self.mode.mask
-                self._oracle_check(site, ksa, addr)
-            else:
-                raw = env[site.escape_value] & self.mode.mask
-                if raw:  # storing null is always legitimate
-                    self._oracle_check(site, env[site.ksa], raw)
+                self._oracle_check(site, ksa, addr,
+                                   self.mem.record_at(ksa & mask, ksa))
 
-    def _oracle_check(self, site, ksa, addr) -> None:
-        """Classify one access, or one escaping pointer, against the record
-        the KSA belongs to."""
-        ksa_raw = self.mode.strip(ksa)
-        # Dead records still count: the sandbox does not model temporal bugs.
-        rec = self.mem.record_at(ksa_raw, ksa)
+    def _oracle_check(self, site, ksa, addr, rec) -> None:
+        """Classify one access, or one escaping pointer, against `rec`, the
+        record `SimMemory.record_at` gives for the KSA; dead records still
+        count, as the sandbox does not model temporal bugs."""
         cls = classify(addr, site.size, rec)
         if cls == IN_BOUNDS:
             return
@@ -539,7 +574,7 @@ class VM:
             kind, reason = "Access", Reason.LOWER_BOUND
         else:
             kind, reason = "Access", Reason.UPPER_BOUND
-        self._abort(site, kind, reason, addr, ksa_raw)
+        self._abort(site, kind, reason, addr, self.mode.strip(ksa))
 
 
 # ----------------------------------------------------------------- handlers
@@ -605,8 +640,13 @@ def _ptrcmp(vm, instr, env):
 
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "ptrsub": operator.sub}
+# A compiled region runs these ops inline and every other op by its handler;
+# of them only _MEMORY ops may fail.
+_MEMORY = ("load", "loadp", "store", "storep")
+_PURE = {"gep", "icmp", "ptrcmp", "select", "mask", *_ARITH}
+_INLINE = {*_MEMORY, *_PURE, "br", "condbr", "ret", "phi"}
 # The Python operator of each arithmetic op and comparison, for compiled
-# blocks.
+# regions.
 _PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
            "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 

@@ -1,9 +1,12 @@
-"""The oracle backend's compiled blocks against its interpreter.
+"""The oracle backend's compiled regions against its interpreter.
 
-A compiled oracle block tests each exact site's record inline and calls
-`VM._oracle_check` only where the access is not in bounds; sites of one KSA
-share one `SimMemory.record_at` lookup until a step runs a handler.
+A compiled oracle region tests each exact site's record inline and calls
+`VM._oracle_check` with that record only where the access is not in bounds;
+sites of one KSA share one `SimMemory.record_at` lookup until a step runs a
+handler or the block ends.
 """
+
+import sys
 
 import pytest
 
@@ -166,39 +169,49 @@ def counting_lookups(monkeypatch):
     return found
 
 
-def lookups_per_entry(monkeypatch, iprog, fn, label, inputs):
+def lookups_per_trip(monkeypatch, iprog, fn, header, inputs):
     """Compile every block, then run again and return the lookups that each
-    entry of compiled block `label` of `fn` made."""
+    trip through the region stored under `header` of `fn` made.  A trip's
+    lookups are those made while the region's local `s`, its step count
+    before the block it runs, stays put: in each loop here only one block
+    of a trip makes lookups."""
     monkeypatch.setattr(vm_module, "HOT_THRESHOLD", 1)
     iprog.rebuild_index()
     VM(iprog, backend="oracle", allowance=default_allowance).run(inputs)
     compiled = iprog.plans[fn].tiers[1][0]
-    block, entries = compiled[label], []
-    found = counting_lookups(monkeypatch)
+    region, trips, inside = compiled[header], {}, []
+    record_at = SimMemory.record_at
+
+    def counted(self, *args):
+        found = record_at(self, *args)
+        if inside:
+            trips.setdefault(sys._getframe(1).f_locals["s"], []).append(found)
+        return found
 
     def entry(vm, env, prev):
-        start = len(found)
+        inside.append(prev)
         try:
-            return block(vm, env, prev)
+            return region(vm, env, prev)
         finally:
-            entries.append(found[start:])
+            inside.pop()
 
-    compiled[label] = entry
+    monkeypatch.setattr(SimMemory, "record_at", counted)
+    compiled[header] = entry
     VM(iprog, backend="oracle", allowance=default_allowance).run(inputs)
-    return entries
+    return list(trips.values())
 
 
 def test_walk_body_makes_one_lookup_per_entry(monkeypatch):
     iprog = instrument_text(corpus_text("linked_list.pir"))
-    entries = lookups_per_entry(monkeypatch, iprog, "walk", "body", [30])
+    trips = lookups_per_trip(monkeypatch, iprog, "walk", "loop", [30])
     # Three loads through %cur, each an exact site; the interpreter looks
     # the record up for each.
     steps = iprog.plans["walk"]["body"][1]
     assert [(s.origin.op, s.ksa) for _, _, sites in steps if sites
             for s in sites[1]] == [("load", "cur.ksa"), ("load", "cur.ksa"),
                                    ("loadp", "cur.ksa")]
-    assert len(entries) == 30
-    assert all(len(found) == 1 and found[0] is not None for found in entries)
+    assert len(trips) == 30
+    assert all(len(found) == 1 and found[0] is not None for found in trips)
 
 
 def test_an_allocation_ends_the_shared_lookup(monkeypatch):
@@ -208,11 +221,42 @@ def test_an_allocation_ends_the_shared_lookup(monkeypatch):
     # so no site looks again in `VM._oracle_check`.
     text = DANGLING_LOOP_PIR.format(mk=16, new=16, size=8)
     iprog = instrument_text(text)
-    entries = lookups_per_entry(monkeypatch, iprog, "main", "loop", [3])
-    assert [len(found) for found in entries] == [2, 2, 2]
-    first, newer = entries[0]
+    trips = lookups_per_trip(monkeypatch, iprog, "main", "loop", [3])
+    assert [len(found) for found in trips] == [2, 2, 2]
+    first, newer = trips[0]
     assert first.kind == newer.kind == "stack" and first is not newer
     assert (first.sa, first.tagged) == (newer.sa, newer.tagged)
     want = oracle_outcome(monkeypatch, iprog, NEVER_HOT, [3])
     assert want == (EXIT_OK, 3, None, [])
     assert oracle_outcome(monkeypatch, iprog, 1, [3]) == want
+
+
+# Each trip loads 8 bytes of a 4-byte object: an access in q-padding at a
+# q-elided site, which the oracle allows.
+PADDING_LOOP_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 4
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %v = load %a, 8
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %i2
+}
+"""
+
+
+@pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+@pytest.mark.parametrize("hot", [NEVER_HOT, 1])
+def test_an_allowed_event_makes_one_lookup(monkeypatch, kind, hot):
+    # `VM._oracle_check` takes the record its caller found.
+    iprog = instrument_text(PADDING_LOOP_PIR, kind, 8)
+    found = counting_lookups(monkeypatch)
+    exit_code, ret, _, events = oracle_outcome(monkeypatch, iprog, hot, [20])
+    assert (exit_code, ret, len(events)) == (EXIT_OK, 20, 20)
+    assert {e[0] for e in events} == {"IN_PADDING"}
+    assert len(found) == 20 and all(found)

@@ -1,0 +1,426 @@
+"""Compiled loop regions against the interpreter.
+
+A hot loop header with no call in its natural loops compiles, with the
+whole loop, into one function.  Each test runs a program on both backends
+with every block interpreted, then with blocks compiled on their first and
+on their 50th entry, and wants the same outcome: exit code, return value,
+steps, check counters, violation and the oracle's allowed events.
+"""
+
+import pytest
+
+from conftest import instrument_text
+from prismbox import vm as vm_module
+from prismbox.oracle import default_allowance
+from prismbox.vm import EXIT_BOUNDS, EXIT_OK, VM, VmError
+
+NEVER_HOT = 1 << 62
+KINDS = ["prism", "prism32", "pow2"]
+
+# The inner loop runs %m trips a visit, so its header turns hot first; at
+# outer trip 55 it runs on past %a's end and pow2's aligned block.
+NESTED_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 64
+  br ^outer
+^outer:
+  %i = phi [0, ^entry], [%i2, ^next]
+  %s = phi [0, ^entry], [%s3, ^next]
+  %late = icmp eq %i, 55
+  %m = select %late, 17, 8
+  %c = icmp lt %i, %n
+  condbr %c, ^inner, ^done
+^inner:
+  %j = phi [0, ^outer], [%j2, ^inner]
+  %t = phi [%s, ^outer], [%t2, ^inner]
+  %p = gep %a, %j*8
+  %v = load %p, 8
+  store %p, 8, %i
+  %t1 = add %t, %v
+  %t2 = add %t1, %j
+  %j2 = add %j, 1
+  %d = icmp lt %j2, %m
+  condbr %d, ^inner, ^next
+^next:
+  %s3 = add %t2, 1
+  %i2 = add %i, 1
+  br ^outer
+^done:
+  ret %s
+}
+"""
+
+# ^hdr has two latches, ^odd and ^even, taken in turn.
+TWO_LATCH_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 16
+  store %a, 8, 3
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^odd], [%i3, ^even]
+  %s = phi [0, ^entry], [%s2, ^odd], [%s3, ^even]
+  %f = phi [0, ^entry], [1, ^odd], [0, ^even]
+  %c = icmp lt %i, %n
+  condbr %c, ^body, ^done
+^body:
+  %v = load %a, 8
+  condbr %f, ^even, ^odd
+^odd:
+  %s2 = add %s, %v
+  %i2 = add %i, 1
+  store %a, 8, %i2
+  br ^hdr
+^even:
+  %s3 = sub %s, %i
+  %i3 = add %i, 2
+  br ^hdr
+^done:
+  ret %s
+}
+"""
+
+# ^body leaves the loop on trip %stop; ^found reads a header phi and a
+# value ^body defined.
+EXIT_FROM_BODY_PIR = """
+fn @main(%n: int, %stop: int) {
+^entry:
+  %a = alloc 800
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^latch]
+  %s = phi [0, ^entry], [%s2, ^latch]
+  %c = icmp lt %i, %n
+  condbr %c, ^body, ^done
+^body:
+  %p = gep %a, %i*8
+  store %p, 8, %i
+  %w = load %p, 8
+  %s2 = add %s, %w
+  %hit = icmp eq %i, %stop
+  condbr %hit, ^found, ^latch
+^latch:
+  %i2 = add %i, 1
+  br ^hdr
+^found:
+  %r = add %s2, %i
+  ret %r
+^done:
+  ret %s
+}
+"""
+
+# Each trip runs alloc, free, extern and stackalloc handlers on values the
+# loop computes; on trip %bad the heap object is one byte short.
+HANDLERS_PIR = """
+extern @sum kind=pure
+extern @mk kind=alloc
+fn @main(%n: int, %bad: int) {
+^entry:
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %t = phi [0, ^entry], [%t2, ^loop]
+  %at = icmp eq %i, %bad
+  %sz = select %at, 7, 8
+  %b = alloc %sz
+  store %b, 8, %i
+  %v = load %b, 8
+  %e = extern @sum(%b, %v, %t)
+  free %b
+  %m = extern @mk(16)
+  store %m, 8, %e
+  %d = alloca_dyn %sz
+  %s = stackalloc 16
+  storep %s, %m
+  %q = loadp %s
+  %w = load %q, 8
+  %t1 = add %t, %w
+  %t2 = sub %t1, %e
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %t2
+}
+"""
+
+# ^call holds a call, so ^loop and ^tail compile each on its own.
+CALL_IN_LOOP_PIR = """
+fn @inc(%x: int) {
+^entry:
+  %y = add %x, 1
+  ret %y
+}
+fn @main(%n: int) {
+^entry:
+  %a = alloc 8
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^tail]
+  %s = phi [0, ^entry], [%s2, ^tail]
+  %v = load %a, 8
+  %c = icmp lt %i, %n
+  condbr %c, ^call, ^done
+^call:
+  %s1 = call @inc(%s)
+  br ^tail
+^tail:
+  %s2 = add %s1, %v
+  store %a, 8, %s2
+  %i2 = add %i, 1
+  br ^loop
+^done:
+  ret %s
+}
+"""
+
+# Each trip loads 8 bytes of 4-byte %a, in its q-padding at q=8, then a
+# byte of %b, past pow2's aligned block too on trip %bad.
+EVENT_AND_ABORT_PIR = """
+fn @main(%n: int, %bad: int) {
+^entry:
+  %a = alloc 4
+  %b = alloc 64
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^body]
+  %c = icmp lt %i, %n
+  condbr %c, ^body, ^done
+^body:
+  %v = load %a, 8
+  %at = icmp eq %i, %bad
+  %off = select %at, 128, 0
+  %p = gep %b, %off*1
+  %w = load %p, 1
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret %i
+}
+"""
+
+# Trips take ^x and ^y in turn, each loading through %p: %a on ^x's trips,
+# %b on ^y's.
+ALTERNATING_LOADS_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 16
+  %b = alloc 16
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^latch]
+  %f = phi [0, ^entry], [%g, ^latch]
+  %p = phi [%a, ^entry], [%q, ^latch]
+  %s = phi [0, ^entry], [%s2, ^latch]
+  %c = icmp lt %i, %n
+  condbr %c, ^pick, ^done
+^pick:
+  condbr %f, ^y, ^x
+^x:
+  %vx = load %p, 8
+  br ^latch
+^y:
+  %vy = load %p, 8
+  br ^latch
+^latch:
+  %v = phi [%vx, ^x], [%vy, ^y]
+  %s2 = add %s, %v
+  %g = sub 1, %f
+  %q = select %g, %b, %a
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret %s
+}
+"""
+
+# ^body also loads and adds with no value named.
+TWO_BLOCK_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 16
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^body]
+  %s = phi [0, ^entry], [%s2, ^body]
+  %c = icmp lt %i, %n
+  condbr %c, ^body, ^done
+^body:
+  %v = load %a, 8
+  load %a, 4
+  add %v, 1
+  %s2 = add %s, %v
+  store %a, 8, %s2
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret %s
+}
+"""
+
+
+def outcome(monkeypatch, iprog, hot, inputs, backend, step_limit=200_000):
+    """One run on fresh plans, blocks compiled on entry `hot`."""
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+    iprog.rebuild_index()
+    allowance = default_allowance if backend == "oracle" else None
+    vm = VM(iprog, backend=backend, allowance=allowance,
+            step_limit=step_limit)
+    try:
+        res = vm.run(list(inputs))
+    except VmError as exc:
+        return "VmError", str(exc), vm.steps
+    stats = res.check_stats
+    return (res.exit_code, res.ret, res.steps, stats.dynamic_checks,
+            stats.sa_fetches, stats.xor_lower_paths, stats.aborts,
+            stats.fetch_log,
+            res.violation.to_dict() if res.violation else None,
+            [(e.cls, e.site.sid, e.addr, e.size)
+             for e in vm.allowed_events])
+
+
+def tiers_agree(monkeypatch, iprog, inputs, **kw):
+    """Each backend's interpreted outcome, which compiling blocks on entry
+    1 and on entry 50 must not change."""
+    wants = []
+    for backend in ("checks", "oracle"):
+        want = outcome(monkeypatch, iprog, NEVER_HOT, inputs, backend, **kw)
+        for hot in (1, 50):
+            got = outcome(monkeypatch, iprog, hot, inputs, backend, **kw)
+            assert got == want, (backend, hot)
+        wants.append(want)
+    return wants
+
+
+def calls_per_label(monkeypatch, iprog, fn, inputs, hot=1):
+    """Compile on entry `hot`, then run again on the same plans and count
+    the calls of each compiled function of `fn` by the label it is kept
+    under."""
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+    iprog.rebuild_index()
+    VM(iprog).run(inputs)
+    compiled, calls = iprog.plans[fn].tiers[0][0], {}
+
+    def counted(label, code):
+        def call(vm, env, prev):
+            calls[label] = calls.get(label, 0) + 1
+            return code(vm, env, prev)
+        return call
+
+    for label, code in compiled.items():
+        if code is not None:
+            compiled[label] = counted(label, code)
+            calls[label] = 0
+    VM(iprog).run(inputs)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [50, 60])
+def test_nested_loops(monkeypatch, kind, n):
+    iprog = instrument_text(NESTED_PIR, kind)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [n])
+    assert checks[0] == oracle[0] == (EXIT_OK if n == 50 else EXIT_BOUNDS)
+    # On entry 50 the inner loop compiles first; once the outer loop has
+    # compiled around it, the inner region is never called again.
+    calls = calls_per_label(monkeypatch, iprog, "main", [n], hot=50)
+    assert calls == {"outer": 1, "inner": 0}
+    assert calls_per_label(monkeypatch, iprog, "main", [n]) == {
+        "entry": 1, "outer": 1} | ({"done": 1} if n == 50 else {})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_header_with_two_latches(monkeypatch, kind):
+    iprog = instrument_text(TWO_LATCH_PIR, kind)
+    assert sorted(loop.latch for loop in iprog.cfgs["main"].loops) == [
+        "even", "odd"]
+    i = s = f = 0
+    a = 3
+    while i < 150:          # ^odd and ^even in turn, as the program runs
+        if f:
+            s, i, f = s - i, i + 2, 0
+        else:
+            s, i, f = s + a, i + 1, 1
+            a = i
+    checks, _ = tiers_agree(monkeypatch, iprog, [150])
+    assert checks[:2] == (EXIT_OK, s % (1 << 64))
+    assert calls_per_label(monkeypatch, iprog, "main", [150]) == {
+        "entry": 1, "hdr": 1, "done": 1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("stop", [5, 70, 200])
+def test_an_exit_from_a_non_header_block(monkeypatch, kind, stop):
+    iprog = instrument_text(EXIT_FROM_BODY_PIR, kind)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [100, stop])
+    found = sum(range(stop + 1)) + stop
+    assert checks[:2] == oracle[:2] == (
+        EXIT_OK, found if stop < 100 else sum(range(100)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [70, 1000])
+def test_handlers_inside_a_loop(monkeypatch, kind, bad):
+    iprog = instrument_text(HANDLERS_PIR, kind)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [100, bad])
+    assert checks[0] == oracle[0] == (EXIT_BOUNDS if bad < 100 else EXIT_OK)
+    if bad < 100:
+        assert checks[8]["line"] == oracle[8]["line"] == 13  # store %b
+    calls = calls_per_label(monkeypatch, iprog, "main", [100, bad])
+    assert calls == {"entry": 1, "loop": 1} | ({} if bad < 100
+                                                 else {"done": 1})
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_loop_holding_a_call_stays_block_compiled(monkeypatch, kind):
+    iprog = instrument_text(CALL_IN_LOOP_PIR, kind)
+    tiers_agree(monkeypatch, iprog, [80])
+    calls = calls_per_label(monkeypatch, iprog, "main", [80])
+    assert iprog.plans["main"].tiers[0][0]["call"] is None
+    assert calls == {"entry": 1, "loop": 81, "tail": 80, "done": 1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bad", [70, 1000])
+def test_an_abort_and_an_allowed_event_in_a_fused_loop(monkeypatch, kind,
+                                                       bad):
+    iprog = instrument_text(EVENT_AND_ABORT_PIR, kind, 8)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [100, bad])
+    assert checks[0] == oracle[0] == (EXIT_BOUNDS if bad < 100 else EXIT_OK)
+    events = oracle[9]
+    assert len(events) == min(bad + 1, 100)
+    assert {cls for cls, *_ in events} == {"IN_PADDING"}
+    assert calls_per_label(monkeypatch, iprog, "main", [100, bad])["hdr"] == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_shared_record_ends_with_its_block(monkeypatch, kind):
+    # ^x and ^y look up %p's record each; ^y must not take ^x's, which
+    # belongs to another trip's %p or to none yet.
+    iprog = instrument_text(ALTERNATING_LOADS_PIR, kind)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [80])
+    assert checks[:2] == oracle[:2] == (EXIT_OK, 0)
+    assert calls_per_label(monkeypatch, iprog, "main", [80])["hdr"] == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_step_limit_on_every_step_of_the_first_and_last_trips(monkeypatch,
+                                                              kind):
+    iprog = instrument_text(TWO_BLOCK_PIR, kind)
+    before, trip, total = (tiers_agree(monkeypatch, iprog, [n])[0][2]
+                           for n in (0, 1, 60))
+    trip -= before
+    # A trip runs ^hdr then ^body; before the first come ^entry's steps,
+    # and after the last ^hdr's and ^done's.
+    first = range(1, before + 2 * trip)
+    last = range(total - before - 2 * trip, total + 2)
+    for limit in [*first, *last]:
+        checks, oracle = tiers_agree(monkeypatch, iprog, [60],
+                                     step_limit=limit)
+        if limit < total:
+            assert checks == oracle == (
+                "VmError", "step limit exceeded", limit + 1)
+        else:
+            assert checks[:3] == (EXIT_OK, 0, total)
