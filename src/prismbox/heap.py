@@ -17,12 +17,17 @@ lookup therefore goes through one index over record bounds
 record covering an address; given the tagged pointer, it answers with the
 newest covering record that carries the pointer's tag, so a dangling
 pointer into a popped frame still finds its own record.  A record that
-starts at or above the index's last bound is appended to it; any other
+starts above the index's last bound is appended to it in place; any other
 is inserted.  pow2 and prism32 place every object, stack objects too,
 with one bump pointer that never rewinds, so every record is appended.
 prism keeps small objects, large objects and the stack in three regions,
 in that address order, so an object is appended only when it lies in the
 highest region used so far and not over a popped frame.
+
+Allocation is cheap on purpose, since it is where the metadata is paid
+for.  A `SimMemory` picks its mode's allocator once (`_ALLOCATORS`), so
+`alloc` is a range check and one call; a bump allocator maps only the
+pages past the last one it mapped.
 """
 
 from __future__ import annotations
@@ -145,6 +150,10 @@ class SimMemory:
         self._next_large = LARGE_BASE
         self._pow2_bump = POW2_BASE
         self._bump32 = BASE32
+        self._mapped = 0        # the end of a bump allocator's last page
+        # The mode's allocator, kept unbound: a bound method stored here
+        # would form a cycle that keeps the instance alive until a GC pass.
+        self._alloc = _ALLOCATORS[mode.kind]
         self.stack_ptr = STACK_BASE
         self._stack_limit = STACK_BASE + (1 << 32)
 
@@ -157,6 +166,13 @@ class SimMemory:
             return
         for base in range(start & ~(PAGE - 1), end, PAGE):
             self.pages.setdefault(base, ZERO_PAGE)
+
+    def _map_bump(self, start: int, end: int) -> None:
+        """map_range for a bump allocator, whose spans only rise: the pages
+        up to the last end it mapped are mapped already."""
+        if end > self._mapped:
+            self.map_range(max(start, self._mapped), end)
+            self._mapped = _align_up(end, PAGE)
 
     def read(self, addr: int, length: int) -> bytes:
         out = bytearray()
@@ -216,17 +232,13 @@ class SimMemory:
         """Mode-dispatching allocation; returns the tagged start address."""
         if not 1 <= size <= MAX_ALLOC:
             raise AllocError(f"size {size} out of range [1, {MAX_ALLOC}]")
-        if self.mode.kind == "pow2":
-            return self.alloc_pow2(size)
-        if self.mode.kind == "prism32":
-            return self.alloc_32(size)
-        if size + self.q + 8 <= PAGE:
-            return self.alloc_small(size)
-        return self.alloc_large(size)
+        return self._alloc(self, size)
 
-    def alloc_small(self, size: int) -> int:
-        """alloc routes here when the object, q and the SA fit one frame."""
+    def _alloc_prism(self, size: int) -> int:
+        """A small frame's next slot if the object, q and the SA fit one."""
         reserve = size + self.q + 8
+        if reserve > PAGE:
+            return self.alloc_large(size)
         if self._small_frame is None or self._small_bump + reserve > PAGE:
             if self._next_small >= LARGE_BASE:
                 raise AllocError("small-frame address space exhausted")
@@ -273,7 +285,7 @@ class SimMemory:
         reserve = aligned if self.q == 0 else aligned + self.q - 1
         sa = _align_up(self._pow2_bump, aligned)
         self._pow2_bump = sa + reserve
-        self.map_range(sa, sa + reserve)
+        self._map_bump(sa, sa + reserve)
         ea = sa + size
         tagged = encode_pow2(sa, aligned.bit_length() - 1)
         return self._record(sa, ea, size, tagged, (sa, sa + reserve), kind,
@@ -282,12 +294,12 @@ class SimMemory:
     def alloc_32(self, size: int, kind: str = "heap") -> int:
         sa = _align_up(self._bump32, 8)
         ea = sa + size
-        if ea + self.q + 8 > (1 << 32) - TOP_GUARD:
+        end = ea + self.q + 8
+        if end > (1 << 32) - TOP_GUARD:
             raise AllocError("32-bit address space exhausted")
-        self._bump32 = ea + self.q + 8
-        self.map_range(sa, ea + self.q + 8)
-        tagged = encode_ea32(sa, ea)
-        return self._record(sa, ea, size, tagged, (sa, ea + self.q + 8), kind)
+        self._bump32 = end
+        self._map_bump(sa, end)
+        return self._record(sa, ea, size, encode_ea32(sa, ea), (sa, end), kind)
 
     def alloc_stack_escaped(self, size: int, kind: str = "stack") -> int:
         """Escaped fixed-size stack object (or a global) with metadata attached."""
@@ -305,10 +317,8 @@ class SimMemory:
         (align=None) at the top of a 64KB-aligned span so EA is 64KB-aligned.
         prism32 and pow2 have no separate stack and use their heap allocators.
         """
-        if self.mode.kind == "prism32":
-            return self.alloc_32(size, kind)
-        if self.mode.kind == "pow2":
-            return self.alloc_pow2(size, kind)
+        if self.mode.kind != "prism":
+            return self._alloc(self, size, kind)
         if align is None:
             ea = _align_up(self.stack_ptr, PAGE) + _align_up(size, PAGE)
             sa = ea - size
@@ -329,19 +339,32 @@ class SimMemory:
                 region: tuple[int, int], kind: str = "heap",
                 aligned_size: int | None = None) -> int:
         """Record a new allocation; only pow2 (aligned_size) stores no SA."""
-        rec = AllocationRecord(sa=sa, ea=ea, request_size=size, q=self.q,
-                               tagged=tagged,
-                               aligned_size=aligned_size, region=region,
-                               kind=kind)
+        q = self.q
+        rec = AllocationRecord(sa, ea, size, q, True, tagged, aligned_size,
+                               region, kind)
         self.records.append(rec)
-        self._index(rec)
+        bounds = self._bounds
+        if bounds and sa <= bounds[-1]:
+            self._index(rec)
+        else:       # above every record, as most are: append
+            bounds += sa, ea + 1
+            self._owners += (rec,), ()
         if aligned_size is None and self.materialize:
-            self.write_int(ea + self.q, 8, sa)
+            # write_int's page fast path, without its call
+            at = ea + q
+            off = at & (PAGE - 1)
+            page = self.pages.get(at - off)
+            if isinstance(page, bytearray) and off <= PAGE - 8:
+                page[off:off + 8] = sa.to_bytes(8, "little")
+            else:
+                self.write_int(at, 8, sa)
         return tagged
 
     # ------------------------------------------------------------------ free
 
     def free(self, tagged: int) -> None:
+        if not tagged:      # free(NULL) does nothing, as in C
+            return
         sa = self.mode.strip(tagged)
         rec = self.record_at(sa)
         if rec is None or rec.sa != sa:
@@ -365,21 +388,14 @@ class SimMemory:
     # --------------------------------------------------------------- records
 
     def _index(self, rec: AllocationRecord) -> None:
-        """Put rec first among the owners of [rec.sa, rec.ea].
+        """Put rec first among the owners of [rec.sa, rec.ea], for a rec
+        that starts at or below the last bound (`_record` appends others).
 
         The records under a new one are those of popped stack frames.  Each
         stays listed under it, unless a newer record has the same tag, so
         that a dangling pointer into the frame still finds it.
         """
         bounds, owners = self._bounds, self._owners
-        if not bounds or rec.sa >= bounds[-1]:
-            # Above every record: append, replacing a last bound at rec.sa
-            # (the last owners entry is always ()).
-            if bounds and rec.sa == bounds[-1]:
-                del bounds[-1], owners[-1]
-            bounds += rec.sa, rec.ea + 1
-            owners += (rec,), ()
-            return
         cuts = []
         for at in (rec.sa, rec.ea + 1):
             i = bisect_left(bounds, at)
@@ -421,3 +437,8 @@ class SimMemory:
             assert a_end <= b_start, (
                 f"overlapping reservations [{a_start:#x},{a_end:#x}) and "
                 f"[{b_start:#x},{b_end:#x})")
+
+
+# Each mode kind's allocator, as `SimMemory._alloc`.
+_ALLOCATORS = {"prism": SimMemory._alloc_prism, "prism32": SimMemory.alloc_32,
+               "pow2": SimMemory.alloc_pow2}

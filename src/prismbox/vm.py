@@ -25,17 +25,18 @@ holds a call, else the block alone.  A block that holds a call, and every
 block of a traced run, stays interpreted.  A region loops over its blocks
 with the label in a local, keeps the values it defines in locals, and
 writes one to the frame only before a handler or slow path that reads it
-and on leaving.  It inlines pure ops, branches, ret, loads within one
-mapped page and stores within one written page.  A `checks` site tests
-`checks.fast_pass` on `_window`'s window (an Escape site first skips a phi
-or select equal to its KSA, as `escape_check` does) and calls
-`VM._check_access` or `VM._check_escape` only where that fails.  An
-`oracle` site tests classify's IN_BOUNDS case on the record `record_at`
-gives for its KSA, shared by the KSA's later sites in the block until a
-step runs a handler (only an allocation changes it), and calls
-`VM._oracle_check` with it only where that fails.  Steps stay exact: a
-region hands a block whose steps would cross the limit back to the
-interpreter, which raises; else it adds its steps to `vm.steps` on exit.
+and on leaving.  It inlines pure ops, branches, ret, `alloc` (a call of
+`SimMemory.alloc`), loads within one mapped page and stores within one
+written page.  A `checks` site tests `checks.fast_pass` on `_window`'s
+window (an Escape site first skips a phi or select equal to its KSA, as
+`escape_check` does) and calls `VM._check_access` or `VM._check_escape`
+only where that fails.  An `oracle` site tests classify's IN_BOUNDS case
+on the record `record_at` gives for its KSA, shared by the KSA's later
+sites in the block until a step allocates or runs a handler (only an
+allocation changes it), and calls `VM._oracle_check` with it only where
+that fails.  Steps stay exact: a region hands a block whose steps would
+cross the limit back to the interpreter, which raises; else it adds its
+steps to `vm.steps` on exit.
 """
 
 from __future__ import annotations
@@ -298,6 +299,11 @@ class _FunctionPlans(dict):
                     if dest is not None:
                         out.append(f"{names[dest]} = env[{dest!r}]")
                     records.clear()
+                elif op == "alloc":         # its size is signed
+                    x = read(args[0])
+                    out.append(f"{names[dest]} = alloc({x} - {1 << 64:#x} "
+                               f"if {x} >> 63 else {x})")
+                    records.clear()
                 elif op in _MEMORY:
                     out += ["o = a & 0xFFFF", "g = get(a - o)"]
                     if op[0] == "l":
@@ -334,7 +340,8 @@ class _FunctionPlans(dict):
         src = "\n    ".join(
             ["def region(vm, env, prev):", "s = vm.steps",
              f"if s > vm.step_limit - {length[label]}: return None", *head,
-             "mem = vm.mem", prologue, "get = mem.pages.get",
+             "mem = vm.mem", prologue, "alloc = mem.alloc",
+             "get = mem.pages.get",
              "limit = vm.step_limit", "b = 0", *entry, "try:",
              "    while True:", *_indent(_indent(body)),
              "finally:", "    vm.steps = s + i"])
@@ -641,10 +648,10 @@ def _ptrcmp(vm, instr, env):
 _ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
           "ptrsub": operator.sub}
 # A compiled region runs these ops inline and every other op by its handler;
-# of them only _MEMORY ops may fail.
+# of them only _MEMORY ops and alloc may fail.
 _MEMORY = ("load", "loadp", "store", "storep")
 _PURE = {"gep", "icmp", "ptrcmp", "select", "mask", *_ARITH}
-_INLINE = {*_MEMORY, *_PURE, "br", "condbr", "ret", "phi"}
+_INLINE = {*_MEMORY, *_PURE, "alloc", "br", "condbr", "ret", "phi"}
 # The Python operator of each arithmetic op and comparison, for compiled
 # regions.
 _PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",

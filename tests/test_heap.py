@@ -309,6 +309,18 @@ class TestFree:
         with pytest.raises(FreeError):
             m.free(t + 8)
 
+    @pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+    def test_free_null_does_nothing(self, kind):
+        # C11 7.22.3.3: free(NULL) takes no action, however often.
+        m = mem(kind)
+        t = m.alloc(24)
+        m.free(0)
+        m.free(0)
+        assert [r.live for r in m.records] == [True]
+        m.free(t)
+        with pytest.raises(FreeError):
+            m.free(t)
+
 
 class TestRawMemory:
     def test_write_read_roundtrip(self):
