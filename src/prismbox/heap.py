@@ -213,15 +213,10 @@ class SimMemory:
         return int.from_bytes(self.read(addr, size), "little")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
-        """Store the low `size` bytes of value at addr, little-endian."""
-        data = (value & ((1 << (size << 3)) - 1)).to_bytes(size, "little")
-        off = addr & (PAGE - 1)
-        page = self.pages.get(addr - off)
-        # Only a page written before has a buffer of its own to write into.
-        if isinstance(page, bytearray) and off + size <= PAGE:
-            page[off:off + size] = data
-        else:
-            self.write(addr, data)
+        """Store the low `size` bytes of value at addr, little-endian.  Its
+        callers first try the page fast path, as `_record` does."""
+        self.write(addr, (value & ((1 << (size << 3)) - 1)).to_bytes(
+            size, "little"))
 
     def read_sa(self, ea: int) -> int:
         return self.read_int(ea + self.q, 8)
@@ -350,7 +345,8 @@ class SimMemory:
             bounds += sa, ea + 1
             self._owners += (rec,), ()
         if aligned_size is None and self.materialize:
-            # write_int's page fast path, without its call
+            # The page fast path: only a page written before has a buffer
+            # of its own, and the SA must not cross the page's end.
             at = ea + q
             off = at & (PAGE - 1)
             page = self.pages.get(at - off)

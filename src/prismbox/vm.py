@@ -7,43 +7,44 @@ records, found by tagged KSA through `SimMemory.record_at` (a reused stack
 address alone cannot tell a live object from a dead one), and asks an
 allowance callback about divergences the instrumentation admits.
 
-Op semantics live in one table, `HANDLERS`: `handler(vm, instr, frame)`
-stores its result in the frame under `instr.dest` and returns None; `br`
-and `condbr` return the next block's label and `ret` a `_Return`.  A frame
-maps each value name to its value and reads a literal operand as itself.
-Blocks run from plans: a block's phis, each with its incoming value by
-predecessor, and its other instructions as `(instr, handler, sites)`
-steps, `sites` being None or the sites each backend runs there.  A plan is
-decoded on first entry and cached per function on the program
-(`iprog.plans`), so the runs of one differential share one decode.
+Each op that computes a value or touches memory is one source text,
+`_step_source`: regions inline it, and the interpreter runs it compiled
+once per mode and op shape (`_table`).  Other ops run as `HANDLERS`.  A
+handler `handler(vm, instr, frame)` stores its result in the frame under
+`instr.dest` and returns None; `br` and `condbr` return the next block's
+label and `ret` a `_Return`.  A frame maps each value name to its value and
+reads a literal operand as itself.  Blocks run from plans: a block's phis,
+each with its incoming value by predecessor, and its other instructions as
+`(instr, handler, sites)` steps, `sites` being None or the sites each
+backend runs there.  A plan is decoded on first entry and cached per
+function on the program (`iprog.plans`), so the runs of one differential
+share one decode.
 
 Hot code runs compiled.  A backend counts block entries on the plans and,
-on entry HOT_THRESHOLD, compiles the region the block heads into one
-Python function kept with the plans (`InstrumentedProgram.rebuild_index()`
-drops it): the union of the block's natural loops if no block of theirs
-holds a call, else the block alone.  A block that holds a call, and every
-block of a traced run, stays interpreted.  A region loops over its blocks
-with the label in a local, keeps the values it defines in locals, and
-writes one to the frame only before a handler or slow path that reads it
-and on leaving.  It inlines pure ops, branches, ret, `alloc` (a call of
-`SimMemory.alloc`), loads within one mapped page and stores within one
-written page.  A `checks` site tests `checks.fast_pass` on `_window`'s
-window (an Escape site first skips a phi or select equal to its KSA, as
-`escape_check` does) and calls `VM._check_access` or `VM._check_escape`
-only where that fails.  An `oracle` site tests classify's IN_BOUNDS case
-on the record `record_at` gives for its KSA, shared by the KSA's later
-sites in the block until a step allocates or runs a handler (only an
-allocation changes it), and calls `VM._oracle_check` with it only where
-that fails.  Steps stay exact: a region hands a block whose steps would
-cross the limit back to the interpreter, which raises; else it adds its
-steps to `vm.steps` on exit.
+on entry HOT_THRESHOLD, compiles the region the block heads into one Python
+function kept with the plans (`InstrumentedProgram.rebuild_index()` drops
+it): the union of the block's natural loops if no block of theirs holds a
+call, else the block alone.  A block that holds a call, and every block of
+a traced run, stays interpreted.  A region loops over its blocks with the
+label in a local, keeps the values it defines in locals, and writes one to
+the frame only before a handler or slow path that reads it and on leaving.
+It inlines step text, branches and ret.  A `checks` site tests
+`checks.fast_pass` on `_window`'s window (an Escape site first skips a phi
+or select equal to its KSA, as `escape_check` does) and calls
+`VM._check_access` or `VM._check_escape` only where that fails.  An
+`oracle` site tests classify's IN_BOUNDS case on the record `record_at`
+gives for its KSA, shared by the KSA's later sites in the block until a
+step allocates or runs a handler (only an allocation changes it), and calls
+`VM._oracle_check` with it only where that fails.  Steps stay exact: a
+region hands a block whose steps would cross the limit back to the
+interpreter, which raises; else it adds its steps to `vm.steps` on exit.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from dataclasses import asdict, dataclass, field
+from functools import cache
 from itertools import count
 from typing import NamedTuple
 
@@ -53,6 +54,7 @@ from .heap import (IN_BOUNDS, INVALID_ESCAPE, PAGE, AllocError, FreeError,
                    SimFault, SimMemory, classify)
 from .instrument import (EXECUTING, LOWER_DROPPED, CheckSite,
                          InstrumentedProgram)
+from .ir import OPS, Instr
 from .tagging import MASK64
 
 EXIT_OK = 0
@@ -147,6 +149,7 @@ class _FunctionPlans(dict):
         self.cfg = iprog.cfgs[fn.name]
         self.site_tables = (iprog.sites_by_instr, iprog.sites_by_origin)
         self.mode = iprog.mode
+        self.handlers = _table(iprog.mode.mask)
         self.tiers = (({}, {}), ({}, {}))
 
     def __missing__(self, label: str) -> tuple:
@@ -158,14 +161,18 @@ class _FunctionPlans(dict):
             phis.append((instr.dest, {pred: value for value, pred
                                       in instr.incomings}))
         by_instr, by_origin = self.site_tables
-        steps = []
+        handlers, steps = self.handlers, []
         for instr in instrs[len(phis):]:
-            checks = by_instr.get(id(instr), ())
-            exact = by_origin.get(id(instr), ())
+            key = id(instr)
+            checks = by_instr.get(key, ())
+            exact = by_origin.get(key, ())
             sites = ([s for s in checks if s.kind == "Escape"
                       or s.status in EXECUTING], exact) \
                 if checks or exact else None
-            steps.append((instr, HANDLERS[instr.op], sites))
+            handler = handlers[instr.op]
+            if type(handler) is _Shapes:
+                handler = handler[instr.cmp or len(instr.gep_terms)]
+            steps.append((instr, handler, sites))
         plan = self[label] = (tuple(phis), steps)
         return plan
 
@@ -193,7 +200,7 @@ class _FunctionPlans(dict):
             for instr in self.blocks[b].instrs:
                 if instr.dest is not None:
                     names[instr.dest] = f"v{next(fresh)}"
-                    if instr.op in _INLINE:
+                    if instr.op not in HANDLERS:
                         kept[instr.dest] = b
 
         def read(v):
@@ -284,51 +291,32 @@ class _FunctionPlans(dict):
             # i counts the block's steps taken, for vm.steps on the way out.
             out, records, i = [], {}, len(phis)
             for instr, handler, sites in steps:
-                op, dest, args, size = (instr.op, instr.dest, instr.operands,
-                                        instr.size)
+                op, dest, args = instr.op, instr.dest, instr.operands
                 i += 1
                 j = next(fresh)
                 ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
                 out.append(f"i = {i}")
-                if op in _MEMORY:
-                    out.append(f"a = {read(args[0])} & {mask}")
+                step = _step_source(instr, read, mask, names.get(dest, "_"),
+                                    instr.size) if op in _STEPS else []
+                out += step[:op in _MEMORY]     # `a`, which sites read
                 run_sites(j, instr, ns[f"S{j}"])
-                if op not in _INLINE:       # run by its handler
-                    ns[f"H{j}"] = handler
-                    out += [*spill(args), f"H{j}(vm, I{j}, env)"]
-                    if dest is not None:
-                        out.append(f"{names[dest]} = env[{dest!r}]")
-                    records.clear()
-                elif op == "alloc":         # its size is signed
-                    x = read(args[0])
-                    out.append(f"{names[dest]} = alloc({x} - {1 << 64:#x} "
-                               f"if {x} >> 63 else {x})")
-                    records.clear()
-                elif op in _MEMORY:
-                    out += ["o = a & 0xFFFF", "g = get(a - o)"]
-                    if op[0] == "l":
-                        out.append(
-                            f"{names.get(dest, '_')} = from_bytes(g[o:o + "
-                            f"{size}], 'little') if g is not None and o <= "
-                            f"{PAGE - size} else mem.read_int(a, {size})")
-                        continue
-                    x = read(args[1])
-                    out += [f"if isinstance(g, bytearray) and o <= "
-                            f"{PAGE - size}:", f"    g[o:o + {size}] = ({x} & "
-                            f"{(1 << 8 * size) - 1:#x}).to_bytes({size}, "
-                            "'little')", f"else: mem.write_int(a, {size}, {x})"]
-                elif op in _PURE:
-                    out.append(f"{names.get(dest, '_')} = "
-                               + _pure_source(instr, read, mask))
-                elif op == "ret":
+                out += step[op in _MEMORY:]
+                if op == "ret":
                     out.append(f"return {b!r}, _Return("
                                f"{read(args[0]) if args else None})")
                 elif op == "br":
                     out += leave(b, instr.labels[0])
-                else:
+                elif op == "condbr":
                     then, other = (leave(b, to) for to in instr.labels)
                     out += [f"if {read(args[0])}:", *_indent(then), "else:",
                             *_indent(other)]
+                elif op in HANDLERS:        # run by its handler
+                    ns[f"H{j}"] = handler
+                    out += [*spill(args), f"H{j}(vm, I{j}, env)"]
+                    if dest is not None:
+                        out.append(f"{names[dest]} = env[{dest!r}]")
+                if op in HANDLERS or op == "alloc":
+                    records.clear()
             body += [f"if b == {n}:", *_indent(out)] \
                 if len(order) > 1 else out
         phis = self[label][0]
@@ -340,9 +328,8 @@ class _FunctionPlans(dict):
         src = "\n    ".join(
             ["def region(vm, env, prev):", "s = vm.steps",
              f"if s > vm.step_limit - {length[label]}: return None", *head,
-             "mem = vm.mem", prologue, "alloc = mem.alloc",
-             "get = mem.pages.get",
-             "limit = vm.step_limit", "b = 0", *entry, "try:",
+             *_SCOPE, prologue, "limit = vm.step_limit", "b = 0", *entry,
+             "try:",
              "    while True:", *_indent(_indent(body)),
              "finally:", "    vm.steps = s + i"])
         exec(compile(src, f"<region {label}>", "exec"), ns)
@@ -353,24 +340,64 @@ def _indent(lines) -> list:
     return ["    " + line for line in lines]
 
 
-def _pure_source(instr, read, mask: str) -> str:
-    """Python source of pure `instr`'s value, each operand's as `read`."""
-    op, args = instr.op, [read(v) for v in instr.operands]
-    if op == "gep":
-        return f"({args[0]} + {instr.gep_const}" + "".join(
+def _step_source(instr, read, mask: str, dest: str, size) -> list:
+    """Python source lines of step `instr` (an op in _STEPS), each operand
+    as `read` gives it: its value set to `dest`, or its access of `size`
+    bytes, whose address the first line strips into `a`.  The text takes
+    `from_bytes` and the names _SCOPE sets from its scope."""
+    # None pads the operands of a one-operand op.
+    op, (x, y, *z) = instr.op, [*map(read, instr.operands), None]
+    if op in _MEMORY:
+        # SimMemory.read_int's and write_int's page fast path, inline.
+        fits = f"o <= {PAGE} - {size}"
+        head = [f"a = {x} & {mask}", "o = a & 0xFFFF", "g = get(a - o)"]
+        if op[0] == "l":
+            return head + [f"{dest} = from_bytes(g[o:o + {size}], 'little') "
+                           f"if g is not None and {fits} else "
+                           f"mem.read_int(a, {size})"]
+        return head + [f"if isinstance(g, bytearray) and {fits}:",
+                       f"    g[o:o + {size}] = ({y} & (1 << 8 * {size}) - 1)"
+                       f".to_bytes({size}, 'little')",
+                       f"else: mem.write_int(a, {size}, {y})"]
+    if op == "alloc":       # its size is signed
+        value = f"alloc({x} - {1 << 64:#x} if {x} >> 63 else {x})"
+    elif op == "gep":
+        value = f"({x} + {instr.gep_const}" + "".join(
             f" + {read(v)} * {scale}" for v, scale in instr.gep_terms) \
             + f") & {MASK64:#x}"
-    if op == "select":
-        return f"{args[1]} if {args[0]} else {args[2]}"
-    if op == "mask":
-        return f"{args[0]} & {mask}"
-    x, y = args
-    if op in _ARITH:
-        return f"({x} {_PY_OPS[op]} {y}) & {MASK64:#x}"
-    if op == "icmp" and instr.cmp not in ("eq", "ne"):
-        # Flipping the sign bit orders 64-bit values as signed.
-        x, y = f"({x} ^ {1 << 63:#x})", f"({y} ^ {1 << 63:#x})"
-    return f"1 if {x} {_PY_OPS[instr.cmp]} {y} else 0"
+    elif op == "select":
+        value = f"{y} if {x} else {z[0]}"
+    elif op == "mask":
+        value = f"{x} & {mask}"
+    elif op in _PY_OPS:
+        value = f"({x} {_PY_OPS[op]} {y}) & {MASK64:#x}"
+    else:
+        if op == "icmp" and instr.cmp not in ("eq", "ne"):
+            # Flipping the sign bit orders 64-bit values as signed.
+            x, y = f"({x} ^ {1 << 63:#x})", f"({y} ^ {1 << 63:#x})"
+        value = f"1 if {x} {_PY_OPS[instr.cmp]} {y} else 0"
+    return [f"{dest} = {value}"]
+
+
+def _handler(op: str, mask: str, shape=None):
+    """The interpreter's handler for `op` of `shape` (a gep's term count or a
+    comparison) at address mask `mask`: its step text, reading operands, gep
+    constants and access size from the instruction."""
+    xs = [f"x{n}" for n in range(len(OPS[op].values))]
+    terms = [(f"t{n}", f"k{n}") for n in range(shape)] if op == "gep" else []
+    lines = ["def handler(vm, instr, env):",
+             ", ".join(xs) + ", = instr.operands"]
+    if op == "gep":
+        lines.append("c, (" + "".join(f"({t}, {k}), " for t, k in terms)
+                     + ") = instr.gep_const, instr.gep_terms")
+    elif op in _MEMORY or op == "alloc":
+        lines += ["n = instr.size", *_SCOPE]
+    model = Instr(op, operands=xs, gep_const="c", gep_terms=terms, cmp=shape)
+    ns = {"from_bytes": int.from_bytes}
+    exec(compile("\n    ".join(lines + _step_source(
+        model, "env[{}]".format, mask, "env[instr.dest]", "n")),
+        f"<{op} handler>", "exec"), ns)
+    return ns["handler"]
 
 
 def _window(site, instr) -> tuple:
@@ -587,10 +614,6 @@ class VM:
 # ----------------------------------------------------------------- handlers
 # An op without a dest stores its result under None, which no operand names.
 
-def _alloc(vm, instr, env):
-    env[instr.dest] = vm.mem.alloc(_signed(env[instr.operands[0]]))
-
-
 def _stackalloc(vm, instr, env):
     env[instr.dest] = vm.mem.alloc_stack_escaped(instr.size)
 
@@ -602,69 +625,8 @@ def _alloca_dyn(vm, instr, env):
     env[instr.dest] = vm.mem.alloc_stack_dynamic(size)
 
 
-def _gep(vm, instr, env):
-    addr = env[instr.operands[0]] + instr.gep_const
-    for index, scale in instr.gep_terms:
-        addr += env[index] * scale
-    env[instr.dest] = addr & MASK64
-
-
 def _gaddr(vm, instr, env):
     env[instr.dest] = vm.genv[instr.callee]
-
-
-def _load(vm, instr, env):
-    # loadp carries its implied size (8) in instr.size, as parsed.
-    env[instr.dest] = vm.mem.read_int(env[instr.operands[0]] & vm.mode.mask,
-                                      instr.size)
-
-
-def _store(vm, instr, env):
-    operands = instr.operands
-    vm.mem.write_int(env[operands[0]] & vm.mode.mask, instr.size,
-                     env[operands[1]])
-
-
-def _select(vm, instr, env):
-    operands = instr.operands
-    env[instr.dest] = env[operands[1] if env[operands[0]] else operands[2]]
-
-
-_CMP = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
-        "le": operator.le, "gt": operator.gt, "ge": operator.ge}
-
-
-def _icmp(vm, instr, env):
-    a, b = instr.operands
-    env[instr.dest] = 1 if _CMP[instr.cmp](_signed(env[a]),
-                                           _signed(env[b])) else 0
-
-
-def _ptrcmp(vm, instr, env):
-    a, b = instr.operands
-    env[instr.dest] = 1 if _CMP[instr.cmp](env[a], env[b]) else 0
-
-
-_ARITH = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
-          "ptrsub": operator.sub}
-# A compiled region runs these ops inline and every other op by its handler;
-# of them only _MEMORY ops and alloc may fail.
-_MEMORY = ("load", "loadp", "store", "storep")
-_PURE = {"gep", "icmp", "ptrcmp", "select", "mask", *_ARITH}
-_INLINE = {*_MEMORY, *_PURE, "alloc", "br", "condbr", "ret", "phi"}
-# The Python operator of each arithmetic op and comparison, for compiled
-# regions.
-_PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
-           "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
-
-
-def _arith(vm, instr, env):
-    a, b = instr.operands
-    env[instr.dest] = _ARITH[instr.op](env[a], env[b]) & MASK64
-
-
-def _mask(vm, instr, env):
-    env[instr.dest] = env[instr.operands[0]] & vm.mode.mask
 
 
 def _free(vm, instr, env):
@@ -726,11 +688,38 @@ def _ret(vm, instr, env):
     return _Return(env[instr.operands[0]] if instr.operands else None)
 
 
-HANDLERS = {
-    "alloc": _alloc, "stackalloc": _stackalloc, "alloca_dyn": _alloca_dyn,
-    "gep": _gep, "gaddr": _gaddr, "load": _load, "loadp": _load,
-    "store": _store, "storep": _store, "select": _select, "icmp": _icmp,
-    "ptrcmp": _ptrcmp, "add": _arith, "sub": _arith, "mul": _arith,
-    "ptrsub": _arith, "mask": _mask, "free": _free, "call": _call,
-    "extern": _extern, "br": _br, "condbr": _condbr, "ret": _ret,
-}
+# The ops _step_source does not write; a region calls all but br, condbr, ret.
+HANDLERS = {"stackalloc": _stackalloc, "alloca_dyn": _alloca_dyn,
+            "gaddr": _gaddr, "free": _free, "call": _call, "extern": _extern,
+            "br": _br, "condbr": _condbr, "ret": _ret}
+# Of the ops _step_source writes, only _MEMORY ops and alloc may fail.  Its
+# text takes the names _SCOPE sets, and Python's operator of each _PY_OPS.
+_MEMORY = ("load", "loadp", "store", "storep")
+_STEPS = {*_MEMORY, "alloc", "gep", "select", "mask", "icmp", "ptrcmp",
+          "add", "sub", "mul", "ptrsub"}
+_SCOPE = ("mem = vm.mem", "get = mem.pages.get", "alloc = mem.alloc")
+_PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
+           "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+
+
+class _Shapes(dict):
+    """One op's handlers by shape, each built on first use."""
+
+    def __init__(self, op: str, mask: str):
+        self.op, self.mask = op, mask
+
+    def __missing__(self, shape):
+        handler = self[shape] = _handler(self.op, self.mask, shape)
+        return handler
+
+
+@cache
+def _table(mask: int) -> dict:
+    """The handlers by op of every plan of a mode with address mask `mask`:
+    HANDLERS and those of _STEPS, with gep, icmp and ptrcmp by shape,
+    `instr.cmp or len(instr.gep_terms)`."""
+    table = dict(HANDLERS)
+    for op in _STEPS:
+        table[op] = (_Shapes if op in ("gep", "icmp", "ptrcmp")
+                     else _handler)(op, f"{mask:#x}")
+    return table

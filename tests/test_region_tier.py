@@ -7,11 +7,15 @@ on their 50th entry, and wants the same outcome: exit code, return value,
 steps, check counters, violation and the oracle's allowed events.
 """
 
+import operator
+
 import pytest
 
 from conftest import instrument_text
 from prismbox import vm as vm_module
+from prismbox.heap import PAGE, ZERO_PAGE, SimMemory
 from prismbox.oracle import default_allowance
+from prismbox.tagging import Mode
 from prismbox.vm import EXIT_BOUNDS, EXIT_OK, VM, VmError
 
 NEVER_HOT = 1 << 62
@@ -424,3 +428,167 @@ def test_step_limit_on_every_step_of_the_first_and_last_trips(monkeypatch,
                 "VmError", "step limit exceeded", limit + 1)
         else:
             assert checks[:3] == (EXIT_OK, 0, total)
+
+
+# Pure ops against plain Python integers.  The operands of each binary op
+# are all pairs of WORDS as named values (`%v`, or `%p` where the op takes
+# a pointer, defined in the entry block), and each word as a literal in
+# each position; results wrap modulo 2^64.
+WORDS = [0, 1, (1 << 63) - 1, 1 << 63, (1 << 64) - 1]
+M64 = (1 << 64) - 1
+ADDRESS_BITS = {"prism": 47, "prism32": 32, "pow2": 47}
+CMPS = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+        "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
+def signed(v):
+    return v - (1 << 64) if v >> 63 else v
+
+
+def pure_cases(kind):
+    """(op text, whether it gives a pointer, expected value) of each case."""
+    binary = {"add": ("v", operator.add), "sub": ("v", operator.sub),
+              "mul": ("v", operator.mul), "ptrsub": ("p", operator.sub)}
+    for cmp, test in CMPS.items():
+        binary[f"icmp {cmp}"] = ("v", lambda a, b, t=test: t(signed(a),
+                                                                signed(b)))
+        binary[f"ptrcmp {cmp}"] = ("p", test)
+    # (x, y, x's value, y's value), `{t}` standing for `v` or `p`.
+    operands = [(f"%{{t}}{i}", f"%{{t}}{j}", a, b)
+                for i, a in enumerate(WORDS) for j, b in enumerate(WORDS)]
+    for i, a in enumerate(WORDS):
+        j = (i + 2) % 5
+        operands += [(str(a), f"%{{t}}{j}", a, WORDS[j]),
+                     (f"%{{t}}{j}", str(a), WORDS[j], a)]
+    cases = [(f"{op} {x.format(t=t)}, {y.format(t=t)}", False,
+              int(value(a, b)) & M64)
+             for x, y, a, b in operands for op, (t, value) in binary.items()]
+    for i, a in enumerate(WORDS):
+        k, m = (i + 1) % 5, (i + 3) % 5
+        for c, x, y, base in ((f"%v{i}", f"%v{k}", f"%v{m}", f"%p{i}"),
+                              (a, WORDS[k], WORDS[m], a)):
+            cases += [
+                (f"select {c}, {x}, {y}", False, WORDS[k] if a else WORDS[m]),
+                (f"mask {base}", True, a & (1 << ADDRESS_BITS[kind]) - 1),
+                (f"gep {base}", True, a),
+                (f"gep {base}, 8", True, (a + 8) & M64),
+                (f"gep {base}, -8", True, (a - 8) & M64),
+                (f"gep {base}, %v{k}*4, -3", True,
+                 (a + WORDS[k] * 4 - 3) & M64),
+                (f"gep {base}, %v{k}*8, %v{m}*-2, 5", True,
+                 (a + WORDS[k] * 8 - WORDS[m] * 2 + 5) & M64)]
+    return cases
+
+
+def pure_program(cases):
+    """A loop of 50 trips whose last stores case k's value at %out + 8k; it
+    returns %out.  A block compiled on its 50th entry runs that trip.  The
+    cases' block does not dominate the loop's exit, so leaving the region
+    writes none of their values to the frame."""
+    lines = ["fn @main(" + ", ".join(f"%v{i}: int" for i in range(5))
+             + ") {", "^entry:", f"  %out = alloc {8 * len(cases)}"]
+    lines += [f"  %p{i} = gep null, %v{i}*1" for i in range(5)]
+    lines += ["  br ^hdr", "^hdr:", "  %i = phi [0, ^entry], [%i2, ^latch]",
+              "  %last = icmp eq %i, 49", "  condbr %last, ^body, ^latch",
+              "^body:"]
+    for k, (text, pointer, _) in enumerate(cases):
+        if pointer:
+            lines += [f"  %r{k}p = {text}", f"  %r{k} = ptrsub %r{k}p, null"]
+        else:
+            lines.append(f"  %r{k} = {text}")
+        lines += [f"  %a{k} = gep %out, {8 * k}", f"  store %a{k}, 8, %r{k}"]
+    return "\n".join(lines + [
+        "  br ^latch", "^latch:", "  %i2 = add %i, 1", "  %c = icmp lt %i2, 50",
+        "  condbr %c, ^hdr, ^done", "^done:", "  ret %out", "}", ""])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_pure_ops_against_python_integers(monkeypatch, kind):
+    cases = pure_cases(kind)
+    iprog = instrument_text(pure_program(cases), kind)
+    for backend in ("checks", "oracle"):
+        for hot in (NEVER_HOT, 1, 50):
+            monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+            iprog.rebuild_index()
+            vm = VM(iprog, backend=backend, allowance=default_allowance
+                    if backend == "oracle" else None)
+            res = vm.run(WORDS)
+            assert res.exit_code == EXIT_OK
+            out = res.ret & vm.mode.mask
+            wrong = [(text, vm.mem.read_int(out + 8 * k, 8), want)
+                     for k, (text, _, want) in enumerate(cases)
+                     if vm.mem.read_int(out + 8 * k, 8) != want]
+            assert not wrong, (backend, hot, wrong[:5])
+
+
+# Loads and stores across 64 KB page edges, and to pages that are still the
+# shared zero page.  %e is the offset in %a of its first page edge.  Each
+# trip stores a value of its own across the edges at %e, %e + 64K, ... (2,
+# 4 and 8 bytes and a pointer), one byte on each side of the next edge, and
+# 8 bytes on page 5 + %i past %e, which no store has written before; it
+# loads each back.
+PAGE_EDGE_PIR = """
+fn @main(%e: int, %n: int) {
+^entry:
+  %a = alloc 4000000
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %s = phi [0, ^entry], [%s2, ^loop]
+  %m = mul %i, 81985529216486895
+  %x = add %m, 9833440827789222417
+  %x1 = add %x, 1
+  %q2 = gep %a, %e*1, -1
+  store %q2, 2, %x
+  %l2 = load %q2, 2
+  %q4 = gep %a, %e*1, 65534
+  store %q4, 4, %x
+  %l4 = load %q4, 4
+  %q8 = gep %a, %e*1, 131069
+  store %q8, 8, %x
+  %l8 = load %q8, 8
+  %qp = gep %a, %e*1, 196604
+  storep %qp, %a
+  %lp = loadp %qp
+  %dp = ptrsub %lp, %a
+  %q1 = gep %a, %e*1, 262143
+  store %q1, 1, %x
+  %q1b = gep %a, %e*1, 262144
+  store %q1b, 1, %x1
+  %l1 = load %q1, 1
+  %l1b = load %q1b, 1
+  %qz = gep %a, %i*65536, %e*1, 327780
+  store %qz, 8, %x
+  %lz = load %qz, 8
+  %s1 = add %s, %l2
+  %s3 = add %s1, %l4
+  %s4 = add %s3, %l8
+  %s5 = add %s4, %dp
+  %s6 = add %s5, %l1
+  %s7 = add %s6, %l1b
+  %s2 = add %s7, %lz
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %s2
+}
+"""
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loads_and_stores_at_page_edges(monkeypatch, kind):
+    mem = SimMemory(Mode(kind))
+    raw = mem.alloc(4_000_000) & mem.mode.mask     # as the VM's first alloc
+    edge = PAGE - raw % PAGE
+    # Each trip's %qz page is mapped and still the shared zero page.
+    assert all(mem.pages[(raw + edge + 5 * PAGE + i * PAGE) & -PAGE]
+               is ZERO_PAGE for i in range(52))
+    want = 0
+    for i in range(52):
+        x = (i * 81985529216486895 + 9833440827789222417) & M64
+        want += (x & 0xFFFF) + (x & 0xFFFFFFFF) + x + (x & 0xFF) \
+            + ((x + 1) & 0xFF) + x
+    checks, oracle = tiers_agree(monkeypatch, instrument_text(
+        PAGE_EDGE_PIR, kind), [edge, 52])
+    assert checks[:2] == oracle[:2] == (EXIT_OK, want & M64)

@@ -417,6 +417,26 @@ class TestPlans:
                    for name, fn_plans in plans.items()
                    for label, p in fn_plans.items())
 
+    def test_handler_builds_are_bounded_by_op_shape(self, monkeypatch):
+        # A handler is built once per mode and op shape (a comparison, a
+        # gep's term count), never per instruction or per program.
+        def decode(seeds):
+            for seed in seeds:
+                iprog = instrument_text(fuzz.generate(seed, "mixed")[0],
+                                        "pow2", 8)
+                for fn in iprog.program.functions.values():
+                    plans = vm_module._FunctionPlans(iprog, fn)
+                    for label in plans.blocks:
+                        plans[label]
+            return plans
+
+        warm = decode(range(300))
+        built, handler = [], vm_module._handler
+        monkeypatch.setattr(vm_module, "_handler",
+                            lambda *a: built.append(a) or handler(*a))
+        assert decode(range(1000, 1200)).handlers is warm.handlers
+        assert built == []
+
 
 def _observed(res):
     stats = res.check_stats
