@@ -6,12 +6,16 @@ rebuilds address chains over tag-masked values, and then runs the check
 elimination passes: q-padding elision, lower-bound drop, check combining,
 and loop hoisting.
 
-A hoisted or widened check runs before the accesses it covers.  Two rules
-keep it from stopping a correct program.  A loop is hoisted only if it
+A hoisted or widened check runs before the accesses it covers.  Three
+rules keep it from stopping a correct program.  A loop is hoisted only if it
 leaves from its header alone, so every trip the induction variable counts
 runs.  A check is widened over a later access only if control cannot leave
 the check's block and come back to it without passing the access's block,
-so the widened check never runs again before that access has run.
+so the widened check never runs again before that access has run.  And no
+op that may end the run (`_ENDS_RUN`: a call, an extern, an allocation or a
+free) may lie in a hoisted loop or on a path from a widened check to the
+access it covers, so the covered accesses run once the check has passed
+unless the step limit ends the run first.
 """
 
 from __future__ import annotations
@@ -528,7 +532,7 @@ def _combine_pair(earlier: CheckSite, later: CheckSite, cfg: CfgInfo) -> bool:
         later.status = ELIDED_DOMINANCE
         return True
     if (cfg.postdominates(later.instr, earlier.instr)
-            and not _repeats_before(cfg, earlier.instr, later.instr)):
+            and _may_widen(cfg, earlier.instr, later.instr)):
         if not earlier.widened:
             # Remember where the checked operand sits inside the merged
             # window so the VM can re-anchor the widened check.
@@ -540,22 +544,39 @@ def _combine_pair(earlier: CheckSite, later: CheckSite, cfg: CfgInfo) -> bool:
     return False
 
 
-def _repeats_before(cfg: CfgInfo, earlier: Instr, later: Instr) -> bool:
-    """Can control leave `earlier`'s block and come back to it without
-    passing `later`'s?  A check at `earlier` widened over `later` would then
-    run again, on new values, before `later` has run."""
-    block, stop = cfg.position(earlier)[0], cfg.position(later)[0]
+# Ops that may end a run with a VmError.  A check moved ahead of one aborts
+# where the unoptimized run would end in that error instead, so hoisting
+# and widening move no check over one (a must-execute test).  Any step can
+# cross the step limit; that case is not covered.
+_ENDS_RUN = frozenset({"call", "extern", "alloc", "alloca_dyn", "stackalloc",
+                       "free"})
+
+
+def _ends_run(instrs) -> bool:
+    return any(instr.op in _ENDS_RUN for instr in instrs)
+
+
+def _may_widen(cfg: CfgInfo, earlier: Instr, later: Instr) -> bool:
+    """May a check at `earlier` cover the access at `later` too?  Not if
+    control can leave `earlier`'s block and come back to it without passing
+    `later`'s: the check would run again, on new values, before `later` has
+    run.  Nor if an instruction on a path between them may end the run
+    (`_ends_run`): the check would abort where the run ends otherwise."""
+    (block, at), (stop, end) = cfg.position(earlier), cfg.position(later)
+    instrs = cfg.fn.block(block).instrs
     if block == stop:
-        return False
+        return not _ends_run(instrs[at + 1:end])
     seen, stack = set(), list(cfg.succ[block])
     while stack:
         label = stack.pop()
         if label == block:
-            return True
+            return False
         if label != stop and label not in seen:
             seen.add(label)
             stack.extend(cfg.succ[label])
-    return False
+    return not _ends_run([*instrs[at + 1:], *cfg.fn.block(stop).instrs[:end],
+                          *(i for label in seen
+                            for i in cfg.fn.block(label).instrs)])
 
 
 def _leaves_only_from_header(cfg: CfgInfo, loop) -> bool:
@@ -578,7 +599,9 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
         info = iprog.infos[fn_name]
         for loop in cfg.loops:
             if loop.preheader is None \
-                    or not _leaves_only_from_header(cfg, loop):
+                    or not _leaves_only_from_header(cfg, loop) \
+                    or _ends_run(i for label in loop.body
+                                 for i in cfg.fn.block(label).instrs):
                 continue
             ind = _induction_of(cfg, info, loop)
             if ind is None:

@@ -27,17 +27,29 @@ it): the union of the block's natural loops if no block of theirs holds a
 call, else the block alone.  A block that holds a call, and every block of
 a traced run, stays interpreted.  A region loops over its blocks with the
 label in a local, keeps the values it defines in locals, and writes one to
-the frame only before a handler or slow path that reads it and on leaving.
-It inlines step text, branches and ret.  A `checks` site tests
-`checks.fast_pass` on `_window`'s window (an Escape site first skips a phi
-or select equal to its KSA, as `escape_check` does) and calls
-`VM._check_access` or `VM._check_escape` only where that fails.  An
-`oracle` site tests classify's IN_BOUNDS case on the record `record_at`
+the frame only before a handler or slow path that reads it, and on leaving
+only if a block outside the region reads it (any block, where it hands a
+block back to the interpreter).  It inlines step text, branches and ret.
+A `checks` site tests `checks.fast_pass` on `_window`'s window (an Escape
+site first skips a phi or select equal to its KSA, as `escape_check` does)
+and calls `VM._check_access` or `VM._check_escape` only where that fails.
+An `oracle` site tests classify's IN_BOUNDS case on the record `record_at`
 gives for its KSA, shared by the KSA's later sites in the block until a
 step allocates or runs a handler (only an allocation changes it), and calls
-`VM._oracle_check` with it only where that fails.  Steps stay exact: a
-region hands a block whose steps would cross the limit back to the
-interpreter, which raises; else it adds its steps to `vm.steps` on exit.
+`VM._oracle_check` with it only where that fails.  After an inline `alloc`
+the KSA it defines needs no lookup: its record is the one just made,
+`mem.records[-1]`, the newest record covering the new pointer with its tag.
+Steps stay exact: a region hands a block whose steps would cross the limit
+back to the interpreter, which raises; else it adds its steps to
+`vm.steps` on exit.  The count `i` of a block's steps taken is set before
+each step that may raise or leave the region (all but a pure op with no
+sites), as only those read it.
+
+A region is one text per program, block and backend, and a program
+instrumented again writes the same texts.  So the code objects compiled
+from them are kept by text and label, the last _MAX_CODES of them per
+process; each region `exec`s its code into a namespace of its own that
+binds its program's instructions, sites and handlers.
 """
 
 from __future__ import annotations
@@ -68,6 +80,11 @@ MAX_CALL_DEPTH = 200
 # A backend compiles a block of a function's plans on its HOT_THRESHOLD-th
 # entry.
 HOT_THRESHOLD = 50
+# Region code objects by text and label, oldest first (`_region_code`).
+# The bound keeps a campaign of distinct programs from holding every text,
+# as `re` bounds its pattern cache.
+_CODES: dict = {}
+_MAX_CODES = 256
 
 
 class VmError(Exception):
@@ -220,12 +237,31 @@ class _FunctionPlans(dict):
             return [", ".join(names[d] for d, _ in phis) + " = " + ", ".join(
                 source(inc[pred]) for _, inc in phis)] if phis else []
 
+        # The values the interpreter may read once the region returns: those
+        # the blocks outside it read after an exit, and those any block reads
+        # after a hand-back.  Instructions and this backend's sites read.
+        site_table = self.site_tables[which]
+        outside, anywhere = set(), set()
+        for b, block in self.blocks.items():
+            for instr in block.instrs:
+                sites = site_table.get(id(instr), ())
+                used = (*instr.values_read(), *(s.ksa for s in sites),
+                        *(s.escape_value for s in sites))
+                anywhere.update(used)
+                if b not in order:
+                    outside.update(used)
+        # An edge into the region from outside copies its phis from the frame.
+        outside.update(v for _, incoming in self[label][0]
+                       for pred, v in incoming.items() if pred not in order)
+
         def leave(b, to):
             # Leave by the edge b -> to, with the values defined on the way
-            # there in the frame, or copy to's phis and go on.
-            back = spill(v for v, d in kept.items()
-                         if cfg.block_dominates(d, b)) + [
-                f"i = {length[b]}", f"return {b!r}, {to!r}"]
+            # there that are read later in the frame (`i` is set at the
+            # terminator), or copy to's phis and go on.
+            later = anywhere if to in order else outside
+            back = spill(v for v, d in kept.items() if v in later
+                         and cfg.block_dominates(d, b)) + [
+                f"return {b!r}, {to!r}"]
             if to not in order:
                 return back
             # Hand `to` back if its steps would cross the limit.
@@ -274,10 +310,12 @@ class _FunctionPlans(dict):
                     out.extend([f"e = {read(site.escape_value)} & {mask}",
                                 "if e:"])
                     pad, addr = "    ", "e"
-                r = records.get(site.ksa)
-                if r is None:
-                    r = f"r{next(fresh)}"
-                    out.append(f"{pad}{r} = at({k} & {mask}, {k})")
+                # A local holding the KSA's record, or the text that finds
+                # it: a lookup, or the record an alloc of this block made.
+                r = records.get(site.ksa, f"at({k} & {mask}, {k})")
+                if not r.isidentifier():
+                    out.append(f"{pad}r{j}_{n} = {r}")
+                    r = f"r{j}_{n}"
                     if not pad:
                         records[site.ksa] = r
                 out.append(f"{pad}if {r} is None or {addr} < {r}.sa or "
@@ -295,7 +333,8 @@ class _FunctionPlans(dict):
                 i += 1
                 j = next(fresh)
                 ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
-                out.append(f"i = {i}")
+                if ns[f"S{j}"] or op not in _PURE:  # it may raise or leave
+                    out.append(f"i = {i}")
                 step = _step_source(instr, read, mask, names.get(dest, "_"),
                                     instr.size) if op in _STEPS else []
                 out += step[:op in _MEMORY]     # `a`, which sites read
@@ -315,8 +354,10 @@ class _FunctionPlans(dict):
                     out += [*spill(args), f"H{j}(vm, I{j}, env)"]
                     if dest is not None:
                         out.append(f"{names[dest]} = env[{dest!r}]")
-                if op in HANDLERS or op == "alloc":
+                if op in HANDLERS:
                     records.clear()
+                elif op == "alloc":     # record_at(k & mask, k) of its k
+                    records = {dest: "mem.records[-1]"}
             body += [f"if b == {n}:", *_indent(out)] \
                 if len(order) > 1 else out
         phis = self[label][0]
@@ -332,8 +373,20 @@ class _FunctionPlans(dict):
              "try:",
              "    while True:", *_indent(_indent(body)),
              "finally:", "    vm.steps = s + i"])
-        exec(compile(src, f"<region {label}>", "exec"), ns)
+        exec(_region_code(src, label), ns)
         return ns.pop("region")     # no cycle through its globals
+
+
+def _region_code(src: str, label: str):
+    """The code object of region text `src` headed by `label`, compiled once
+    while it stays among the last _MAX_CODES texts compiled."""
+    key = src, label
+    code = _CODES.get(key)
+    if code is None:
+        if len(_CODES) >= _MAX_CODES:
+            del _CODES[next(iter(_CODES))]      # the oldest, as `re` drops
+        code = _CODES[key] = compile(src, f"<region {label}>", "exec")
+    return code
 
 
 def _indent(lines) -> list:
@@ -697,6 +750,7 @@ HANDLERS = {"stackalloc": _stackalloc, "alloca_dyn": _alloca_dyn,
 _MEMORY = ("load", "loadp", "store", "storep")
 _STEPS = {*_MEMORY, "alloc", "gep", "select", "mask", "icmp", "ptrcmp",
           "add", "sub", "mul", "ptrsub"}
+_PURE = _STEPS - {*_MEMORY, "alloc"}
 _SCOPE = ("mem = vm.mem", "get = mem.pages.get", "alloc = mem.alloc")
 _PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
            "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}

@@ -718,6 +718,17 @@ class TestOptLoopHoist:
         assert site.window == (0, 400)
         assert site.widened and site.executes
 
+    def test_ksa_loaded_in_the_loop_not_hoisted(self):
+        # The loop holds no op that may end the run, but the preheader
+        # cannot compute %a's KSA.
+        iprog = instrument_text(COUNTING_LOOP.replace(
+            "ENTRY", "%b = alloc 64\n  %cell = alloc 8\n  storep %cell, %b")
+            .replace("BODY", "%a = loadp %cell").replace("START", "0")
+            .replace("COND", "%i, 8").replace("THEN", "^body, ^done"),
+            opts=("hoist",))
+        assert not [s for s in iprog.sites if s.kind == "LoopHoisted"]
+        assert differential_on(iprog, [0]).reason == "match"
+
     def test_guarded_access_not_hoisted(self):
         iprog = instrument_text("""
 fn @main(%n: int) {
@@ -809,6 +820,76 @@ fn @main() {
         assert verdict.reason == "match" and verdict.checks.exit_code == code
         if code:
             assert verdict.checks.violation.sid == site.sid
+
+
+# @spin recurses without end, so a call to it ends the run in a VmError.
+SPIN_PIR = """
+fn @spin(%x: int) {
+^entry:
+  %r = call @spin(%x)
+  ret %r
+}
+"""
+
+# Counts to 8 over a[i] of a 16-byte object, so a hoisted check of the
+# whole window aborts; the unhoisted run loads a[0] and then ends at END.
+HOIST_OVER_PIR = SPIN_PIR + """
+fn @main() {
+^entry:
+  %a = alloc 16
+  br ^hdr
+^hdr:
+  %i = phi [0, ^entry], [%i2, ^body]
+  %c = icmp lt %i, 8
+  condbr %c, ^body, ^done
+^body:
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  END
+  %i2 = add %i, 1
+  br ^hdr
+^done:
+  ret 0
+}
+"""
+
+# At i = 1 the load of a[i] is in bounds and that of a[i] + 24 is past the
+# 16-byte object and pow2's 32-byte block; a call between them ends the run.
+WIDEN_OVER_CALL_PIR = SPIN_PIR + """
+fn @main(%i: int) {
+^entry:
+  %a = alloc 16
+  %p = gep %a, %i*8
+  %v = load %p, 8
+  %r = call @spin(0)
+  %q = gep %a, %i*8, 24
+  %w = load %q, 8
+  ret %w
+}
+"""
+
+MUST_EXECUTE = {
+    "hoist_over_call": HOIST_OVER_PIR.replace("END", "%r = call @spin(%v)"),
+    "hoist_over_failing_alloc": HOIST_OVER_PIR.replace(
+        "END", "%b = alloc 4294967295"),
+    "widen_over_call": WIDEN_OVER_CALL_PIR,
+}
+
+
+class TestMustExecute:
+    """No check moves ahead of an op that may end the run.  Before this
+    rule, each program's checks run aborted at the moved check while the
+    oracle run ended in the op's VmError: `vm-error-mismatch`."""
+
+    @pytest.mark.parametrize("kind", MODE_KINDS)
+    @pytest.mark.parametrize("shape", sorted(MUST_EXECUTE))
+    def test_no_check_moves_over_an_op_that_may_end_the_run(self, shape,
+                                                           kind):
+        iprog = instrument_text(MUST_EXECUTE[shape], kind)
+        verdict = differential_on(iprog, [1])
+        assert (verdict.ok, verdict.reason) == (True, "both-vm-error")
+        assert not [s for s in iprog.sites
+                    if s.kind == "LoopHoisted" or s.widened]
 
 
 class TestDeepPrograms:

@@ -3,7 +3,8 @@
 A compiled oracle region tests each exact site's record inline and calls
 `VM._oracle_check` with that record only where the access is not in bounds;
 sites of one KSA share one `SimMemory.record_at` lookup until a step runs a
-handler or the block ends.
+handler or the block ends, and the sites of a KSA that an `alloc` of the
+block made take its record with no lookup.
 """
 
 import sys
@@ -260,3 +261,46 @@ def test_an_allowed_event_makes_one_lookup(monkeypatch, kind, hot):
     assert (exit_code, ret, len(events)) == (EXIT_OK, 20, 20)
     assert {e[0] for e in events} == {"IN_PADDING"}
     assert len(found) == 20 and all(found)
+
+
+# Each trip allocates %a and then stores, loads and lets a pointer escape
+# through it, all at sites of KSA %a.  On trip %bad the load reads past %a
+# and past pow2's aligned block.
+ALLOC_LOOP_PIR = """
+fn @main(%n: int, %bad: int) {
+^entry:
+  %cell = alloc 8
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %a = alloc 16
+  store %a, 8, %i
+  %at = icmp eq %i, %bad
+  %off = select %at, 64, 8
+  %p = gep %a, %off*1
+  %v = load %p, 8
+  storep %cell, %p
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %i2
+}
+"""
+
+
+@pytest.mark.parametrize("kind,q", MODES)
+def test_an_alloc_hands_its_record_to_later_sites(monkeypatch, kind, q):
+    # The record that `record_at` gives for %a is the one its alloc just
+    # made, `mem.records[-1]`, so the compiled loop looks up only %cell's
+    # (8 bytes), at the storep.  Before, it also looked %a up at the store,
+    # once a trip, for all three of %a's sites.
+    iprog = instrument_text(ALLOC_LOOP_PIR, kind, q)
+    for bad, exit_code, trips in ((-1, EXIT_OK, 20), (7, EXIT_BOUNDS, 7)):
+        want = oracle_outcome(monkeypatch, iprog, NEVER_HOT, [20, bad])
+        assert want[0] == exit_code
+        assert oracle_outcome(monkeypatch, iprog, 1, [20, bad]) == want
+        found = lookups_per_trip(monkeypatch, iprog, "main", "loop",
+                                 [20, bad])
+        assert [[r.request_size for r in trip] for trip in found] == [
+            [8]] * trips

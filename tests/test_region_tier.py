@@ -8,10 +8,11 @@ steps, check counters, violation and the oracle's allowed events.
 """
 
 import operator
+import re
 
 import pytest
 
-from conftest import instrument_text
+from conftest import corpus_text, instrument_text
 from prismbox import vm as vm_module
 from prismbox.heap import PAGE, ZERO_PAGE, SimMemory
 from prismbox.oracle import default_allowance
@@ -592,3 +593,139 @@ def test_loads_and_stores_at_page_edges(monkeypatch, kind):
     checks, oracle = tiers_agree(monkeypatch, instrument_text(
         PAGE_EDGE_PIR, kind), [edge, 52])
     assert checks[:2] == oracle[:2] == (EXIT_OK, want & M64)
+
+
+# Each trip computes %x, %y and %z: the store reads %x, only the ret after
+# the loop reads %y, and nothing reads %z.
+SPILL_PIR = """
+fn @main(%n: int) {
+^entry:
+  %a = alloc 8
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^loop]
+  %x = mul %i, 3
+  %y = add %x, 5
+  %z = sub %i, 7
+  store %a, 8, %x
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^loop, ^done
+^done:
+  ret %y
+}
+"""
+
+
+def region_texts(monkeypatch):
+    """The text of each region compiled from now on, by its label, whether
+    or not the code cache holds it already."""
+    texts, region_code = {}, vm_module._region_code
+
+    def spy(src, label):
+        texts[label] = src
+        return region_code(src, label)
+
+    monkeypatch.setattr(vm_module, "_region_code", spy)
+    return texts
+
+
+def spills_before(src, left):
+    """The values a region text writes to the frame just before it returns
+    `left`, a (block, successor) pair."""
+    lines = [line.strip() for line in src.splitlines()]
+    spilled = set()
+    for n, line in enumerate(lines):
+        if line == f"return {left[0]!r}, {left[1]!r}":
+            while lines[n - 1].startswith("env["):
+                n -= 1
+                spilled.add(re.match(r"env\[(\S+)\] =", lines[n])[1])
+    return {name.strip("'") for name in spilled}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_exit_spills_only_what_is_read_after_the_region(monkeypatch,
+                                                          kind):
+    iprog = instrument_text(SPILL_PIR, kind)
+    texts = region_texts(monkeypatch)
+    checks, oracle = tiers_agree(monkeypatch, iprog, [60])
+    assert checks[:2] == oracle[:2] == (EXIT_OK, 59 * 3 + 5)
+    src = texts["loop"]
+    assert spills_before(src, ("loop", "done")) == {"y"}
+    # Handing ^loop back to the interpreter writes what any block reads.
+    assert spills_before(src, ("loop", "loop")) == {"i", "x", "y", "i2", "c"}
+    assert "env['z'] =" not in src
+
+
+@pytest.mark.parametrize("backend", ["checks", "oracle"])
+def test_a_program_instrumented_again_compiles_no_region(monkeypatch,
+                                                         backend):
+    # A fresh cache, so that its size counts the compiles below.
+    monkeypatch.setattr(vm_module, "_CODES", {})
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", 1)
+    which = ("checks", "oracle").index(backend)
+    allowance = default_allowance if which else None
+    compiles = []
+    for _ in range(2):
+        iprog = instrument_text(corpus_text("linked_list.pir"))
+        res = VM(iprog, backend=backend, allowance=allowance).run([30])
+        assert (res.exit_code, res.ret) == (EXIT_OK, 30 * 29 // 2 + 2 * 30)
+        compiles.append(len(vm_module._CODES))
+        # Each region binds this program's own steps and sites.
+        instrs = {id(instr) for fn in iprog.program.functions.values()
+                  for block in fn.blocks for instr in block.instrs}
+        sites = {id(site) for site in iprog.sites}
+        regions = [code for plans in iprog.plans.values()
+                   for code in plans.tiers[which][0].values() if code]
+        for region in regions:
+            bound = {name: value for name, value in region.__globals__.items()
+                     if name[0] in "IS" and name[1:].isdigit()}
+            assert bound and all(
+                id(value) in instrs if name[0] == "I"
+                else {id(site) for site in value} <= sites
+                for name, value in bound.items())
+    assert len(regions) == compiles[0] == compiles[1]
+
+
+# EVENT_AND_ABORT_PIR after a function that nothing calls: each of @main's
+# sites has a sid one higher, and @main's regions have the same text.
+SHIFTED_SIDS_PIR = """
+fn @first(%p: ptr) {
+^entry:
+  %v = load %p, 8
+  ret %v
+}
+""" + EVENT_AND_ABORT_PIR
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("backend", ["checks", "oracle"])
+def test_a_shared_region_text_reports_its_own_programs_sites(monkeypatch,
+                                                             kind, backend):
+    monkeypatch.setattr(vm_module, "_CODES", {})
+    runs = []
+    for text in (EVENT_AND_ABORT_PIR, SHIFTED_SIDS_PIR):
+        iprog = instrument_text(text, kind, 8)
+        want = outcome(monkeypatch, iprog, NEVER_HOT, [8, 5], backend)
+        before = len(vm_module._CODES)
+        assert outcome(monkeypatch, iprog, 1, [8, 5], backend) == want
+        runs.append((want, len(vm_module._CODES) - before))
+    (first, compiled), (shifted, again) = runs
+    assert compiled > 0 and again == 0
+    assert first[0] == shifted[0] == EXIT_BOUNDS
+    assert shifted[8]["sid"] == first[8]["sid"] + 1
+    assert [e[1] for e in shifted[9]] == [e[1] + 1 for e in first[9]]
+    assert len(first[9]) == (6 if backend == "oracle" else 0)
+
+
+def test_the_code_cache_keeps_to_its_bound(monkeypatch):
+    monkeypatch.setattr(vm_module, "_CODES", {})
+    bound = vm_module._MAX_CODES
+    texts = [f"def region(vm, env, prev):\n    return {n}"
+             for n in range(bound + 3)]
+    codes = [vm_module._region_code(text, "loop") for text in texts]
+    assert len(vm_module._CODES) == bound
+    # The oldest texts go first; a text still held compiles no more.
+    assert [(text, "loop") in vm_module._CODES for text in texts[:4]] == [
+        False, False, False, True]
+    assert vm_module._region_code(texts[-1], "loop") is codes[-1]

@@ -774,6 +774,20 @@ class TestTiers:
         assert want[:2] == ("VmError", message) and want[2] > 60 * 12
         assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [90]) == want
 
+    @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
+    def test_a_fault_after_pure_ops_counts_its_steps(self, monkeypatch, hot):
+        # At q=8 the q-padding pass elides %w's check, so in the checks
+        # backend the load that faults has no site.  A compiled region sets
+        # its step count before that load, not before the icmp and two
+        # selects ahead of it.
+        text = ARRAY_LOOP_PIR.replace("TAG", str(FORGED_TAGS["prism"]))
+        iprog = instrument_text(text, "prism", 8, opts=("qpad",))
+        (w,) = [s for s in iprog.sites if s.origin.dest == "w"]
+        assert w.status == ELIDED_Q
+        want = _tiered(monkeypatch, iprog, NEVER_HOT, [90])
+        assert want[:2] == ("VmError", "read of unmapped address 0x1000")
+        assert _tiered(monkeypatch, iprog, hot, [90]) == want
+
     @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
     def test_literal_escape_in_a_compiled_block(self, monkeypatch, kind):
         iprog = instrument_text("fn @main() {\n^entry:\n  %c = alloc 8\n"
