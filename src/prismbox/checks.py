@@ -104,17 +104,6 @@ def access_check(mode: Mode, ksa: int, ptr: int, access_size: int, mem,
     return outcome
 
 
-def bounds_check(ksa: int, ptr: int, access_size: int, mem,
-                 stats: CheckStats | None = None,
-                 skip_lower: bool = False) -> CheckOutcome:
-    """`access_check` in the mode of `mem` (prism or prism32)."""
-    return access_check(mem.mode, ksa, ptr, access_size, mem, stats,
-                        skip_lower)
-
-
-bounds_check32 = bounds_check   # the prism32 name; the mode picks the decoder
-
-
 def bounds_check_2k(ksa: int, ptr: int, access_size: int, mode: Mode,
                     stats: CheckStats | None = None,
                     skip_lower: bool = False) -> CheckOutcome:

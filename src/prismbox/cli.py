@@ -1,7 +1,7 @@
 """Command-line front end: run programs, replay the bug corpus, fuzz.
 
 Exit codes for `run`: 0 clean exit, 1 VM error or differential mismatch,
-2 bounds violation, 3 escape violation, 4 parse or validation error.
+2 bounds violation, 3 escape violation, 4 parse, validation or usage error.
 """
 
 from __future__ import annotations
@@ -24,15 +24,32 @@ from .vm import VM, VmError
 EXIT_PARSE = 4
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `error:` line and exit code 4, which
+    no run outcome uses."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
+def _non_negative(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"not a non-negative integer: {text!r}")
+    return int(text)
+
+
 def _mode_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--mode", choices=MODE_KINDS, default="prism")
-    sub.add_argument("--qpad", type=int, default=0, metavar="N",
+    sub.add_argument("--qpad", type=_non_negative, default=0, metavar="N",
                      help="padding bytes between object end and metadata")
     group = sub.add_mutually_exclusive_group()
-    group.add_argument("--opt", dest="opt", default="all", metavar="LIST",
+    group.add_argument("--opt", dest="opt", type=parse_opts, default="all",
+                       metavar="LIST",
                        help="comma-separated elimination passes "
                             f"({','.join(ALL_OPTS)}; default all)")
-    group.add_argument("--no-opt", dest="opt", action="store_const", const="")
+    group.add_argument("--no-opt", dest="opt", action="store_const", const=())
 
 
 def parse_opts(spec: str) -> tuple:
@@ -45,13 +62,14 @@ def parse_opts(spec: str) -> tuple:
     opts = tuple(part.strip() for part in spec.split(",") if part.strip())
     unknown = [o for o in opts if o not in ALL_OPTS]
     if unknown:
-        raise SystemExit(f"error: unknown optimization {unknown[0]!r} "
-                         f"(choose from {', '.join(ALL_OPTS)})")
+        raise argparse.ArgumentTypeError(
+            f"unknown optimization {unknown[0]!r} "
+            f"(choose from {', '.join(ALL_OPTS)})")
     return opts
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prismbox",
         description="Object-bounds sandbox simulator for a tagged-pointer "
                     "heap with compiler-style check elimination.")
@@ -78,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz = subs.add_parser("fuzz", help="differential fuzzing campaign")
     _mode_args(fuzz)
     fuzz.add_argument("--seed", type=int, default=0)
-    fuzz.add_argument("--count", type=int, default=100)
+    fuzz.add_argument("--count", type=_non_negative, default=100)
     fuzz.add_argument("--config", choices=CONFIGS, default="mixed")
     fuzz.add_argument("--workers", type=int, default=1)
     fuzz.add_argument("--out", help="directory for mismatching programs")
@@ -88,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_instrumented(text: str, args):
     mode = Mode(args.mode, args.qpad)
     program = parse(text)
-    return instrument(program, mode, parse_opts(args.opt))
+    return instrument(program, mode, args.opt)
 
 
 def cmd_run(args) -> int:
@@ -120,7 +138,11 @@ def cmd_run(args) -> int:
         if args.stats == "-":
             print(report.to_json())
         else:
-            Path(args.stats).write_text(report.to_json() + "\n")
+            try:
+                Path(args.stats).write_text(report.to_json() + "\n")
+            except OSError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_PARSE
     if args.differential:
         verdict = differential_on(iprog, args.inputs)
         print(json.dumps(verdict.to_dict(), indent=2))
@@ -203,7 +225,7 @@ def cmd_corpus(args) -> int:
         if not cases:
             print(f"error: no corpus case named {args.name!r}",
                   file=sys.stderr)
-            return 1
+            return EXIT_PARSE
     bad = 0
     for case in cases:
         failures = run_corpus_case(case, matrix=args.matrix)
@@ -220,7 +242,7 @@ def cmd_corpus(args) -> int:
 def cmd_fuzz(args) -> int:
     mode = Mode(args.mode, args.qpad)
     summary = campaign(args.seed, args.count, mode, args.config,
-                       opts=parse_opts(args.opt), out_dir=args.out,
+                       opts=args.opt, out_dir=args.out,
                        workers=args.workers)
     print(json.dumps(summary, indent=2))
     return 1 if summary["mismatches"] else 0

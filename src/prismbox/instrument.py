@@ -97,10 +97,8 @@ class InstrumentedProgram:
     opts: tuple
     sites: list[CheckSite]
     infos: dict[str, FunctionInfo]
-    cfgs: dict[str, CfgInfo]
     sites_by_instr: dict[int, list[CheckSite]] = field(default_factory=dict)
     sites_by_origin: dict[int, list[CheckSite]] = field(default_factory=dict)
-    mask_counts: dict[str, int] = field(default_factory=dict)
     ksa_maps: dict[str, dict] = field(default_factory=dict)
     # The VM's decoded block plans, by function (see vm.py).
     plans: dict[str, dict] = field(default_factory=dict)
@@ -113,9 +111,8 @@ class InstrumentedProgram:
             self.sites_by_instr.setdefault(id(site.instr), []).append(site)
             self.sites_by_origin.setdefault(id(site.origin), []).append(site)
 
-    def active_count(self, fn: str | None = None) -> int:
-        return sum(1 for s in self.sites
-                   if s.executes and (fn is None or s.fn == fn))
+    def active_count(self) -> int:
+        return sum(1 for s in self.sites if s.executes)
 
     def elided_counts(self) -> dict[str, int]:
         status = Counter(s.status for s in self.sites)
@@ -125,7 +122,7 @@ class InstrumentedProgram:
                 "hoist": sum(s.kind == "LoopHoisted" for s in self.sites)}
 
     def site_table(self) -> list[dict]:
-        return [s.describe(self.cfgs[s.fn]) for s in self.sites]
+        return [s.describe(self.infos[s.fn].cfg) for s in self.sites]
 
 
 def instrument(program: Program, mode: Mode,
@@ -133,7 +130,6 @@ def instrument(program: Program, mode: Mode,
     """Insert checks and run the enabled optimizations.  Mutates `program`."""
     infos = require_valid(program)
     sites: list[CheckSite] = []
-    mask_counts: dict[str, int] = {}
     ksa_maps: dict[str, dict] = {}
     sid = [0]
     for fn in program.functions.values():
@@ -143,12 +139,9 @@ def instrument(program: Program, mode: Mode,
         worker.insert_escape_sites(sites)
         worker.reset_metadata()
         worker.instrument_ptr_cmp_sub()
-        mask_counts[fn.name] = worker.mask_count
         ksa_maps[fn.name] = worker.ksa
-    cfgs = {name: info.cfg for name, info in infos.items()}
     iprog = InstrumentedProgram(program=program, mode=mode, opts=tuple(opts),
-                                sites=sites, infos=infos, cfgs=cfgs,
-                                mask_counts=mask_counts, ksa_maps=ksa_maps)
+                                sites=sites, infos=infos, ksa_maps=ksa_maps)
     if "qpad" in opts:
         opt_qpad(iprog)
     if "lower" in opts:
@@ -218,7 +211,6 @@ class _FnInstrumenter:
         self.sid = sid
         self.ksa: dict = {}
         self.reset_map: dict = {}
-        self.mask_count = 0
         self._self_ksa: dict | None = None
         # What the passes below read, in program order.  They insert only
         # value definitions, so these lists stay complete.
@@ -267,7 +259,7 @@ class _FnInstrumenter:
                 self.ksa_of(name)
 
     def ksa_of(self, v):
-        """Roll pointer arithmetic back to the value's provenance root."""
+        """Roll pointer arithmetic back to the value's root, its KSA."""
         known = self._known_ksa(v)
         return _drive(self._ksa(v)) if known is None else known
 
@@ -427,7 +419,6 @@ class _FnInstrumenter:
                 self._insert_at_phi_head(self.fn.entry, mask)
             else:
                 self._insert_after(d, mask)
-            self.mask_count += 1
             return name
         if d.op not in _CHAINED or d.op == "mask":
             self.reset_map[v] = v
@@ -490,7 +481,7 @@ def opt_combine(iprog: InstrumentedProgram) -> None:
     for (fn, _ksa), group in groups.items():
         if len(group) < 2:
             continue
-        cfg = iprog.cfgs[fn]
+        cfg = iprog.infos[fn].cfg
         order = {label: i for i, label in
                  enumerate(b.label for b in cfg.fn.blocks)}
         group.sort(key=lambda s: (order[cfg.position(s.instr)[0]],
@@ -595,8 +586,8 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
                 and len(site.var_key[1]) == 1):
             key = site.fn, site.var_key[1][0][0]
             candidates.setdefault(key, []).append(site)
-    for fn_name, cfg in iprog.cfgs.items():
-        info = iprog.infos[fn_name]
+    for fn_name, info in iprog.infos.items():
+        cfg = info.cfg
         for loop in cfg.loops:
             if loop.preheader is None \
                     or not _leaves_only_from_header(cfg, loop) \

@@ -1,4 +1,4 @@
-"""Miniature SSA IR with pointer provenance.
+"""Miniature SSA IR with typed pointers.
 
 Textual format (.pir), one instruction per line:
 
@@ -170,12 +170,6 @@ class Program:
     globals: list[Global] = field(default_factory=list)
     externs: dict[str, str] = field(default_factory=dict)
     entry: str = "main"
-
-    def global_named(self, name: str) -> Global | None:
-        for g in self.globals:
-            if g.name == name:
-                return g
-        return None
 
 
 # --------------------------------------------------------------------- parse

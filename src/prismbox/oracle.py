@@ -105,16 +105,3 @@ def differential_on(iprog: InstrumentedProgram,
     return Verdict(False,
                    f"exit-mismatch checks={checks.exit_code} "
                    f"oracle={oracle.exit_code}", checks, oracle, allowed)
-
-
-def verdict_summary(verdicts: list[Verdict]) -> dict:
-    out = {
-        "total": len(verdicts),
-        "ok": sum(1 for v in verdicts if v.ok),
-        "mismatches": sum(1 for v in verdicts if not v.ok),
-        "allowed_events": sum(v.allowed_events for v in verdicts),
-        "violation_runs": sum(1 for v in verdicts
-                              if v.checks is not None
-                              and v.checks.exit_code != 0),
-    }
-    return out

@@ -119,11 +119,6 @@ def encode_pow2(sa: int, log2_size: int) -> int:
     return (log2_size << TAG_SHIFT) | sa
 
 
-def pow2_log(value: int) -> int:
-    """Decode the aligned-size exponent from a pow2-tagged value."""
-    return value >> TAG_SHIFT
-
-
 def encode_ea32(sa: int, ea: int) -> int:
     """32-bit mode: the full end address lives in bits 32-63."""
     if not 0 <= sa <= ea:

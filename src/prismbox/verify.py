@@ -1,4 +1,4 @@
-"""Program validation: SSA discipline, dominance, typing, and provenance."""
+"""Program validation: SSA discipline, dominance and typing."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ class FunctionInfo:
     fn: Function
     cfg: CfgInfo
     types: dict = field(default_factory=dict)        # value -> 'int'|'ptr'
-    provenance: set = field(default_factory=set)     # the pointer-typed values
     defs: dict = field(default_factory=dict)         # value -> Instr | 'param'
 
 
@@ -76,7 +75,6 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     _infer_types(program, facts, ret_types)
     for info in infos.values():
         _check_uses(info, facts[info.fn.name].where, program, diags)
-        info.provenance = {v for v, ty in info.types.items() if ty == "ptr"}
     return infos, diags
 
 

@@ -163,7 +163,7 @@ class _FunctionPlans(dict):
     def __init__(self, iprog: InstrumentedProgram, fn):
         super().__init__()
         self.blocks = fn.blockmap()
-        self.cfg = iprog.cfgs[fn.name]
+        self.cfg = iprog.infos[fn.name].cfg
         self.site_tables = (iprog.sites_by_instr, iprog.sites_by_origin)
         self.mode = iprog.mode
         self.handlers = _table(iprog.mode.mask)

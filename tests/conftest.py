@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import importlib.util
 import json
 import os
 import subprocess
@@ -194,6 +195,28 @@ class ChecksWrongReturn(VM):
         if self.backend == "checks" and result.ok:
             result.ret += 1
         return result
+
+
+def _tool(name: str):
+    """The module of `tools/<name>.py`."""
+    path = Path(__file__).resolve().parents[1] / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# outcome(iprog, inputs, backend, trace, step_limit=200_000): what the CI
+# outcome digest hashes of one run, or ("VmError", message, steps).
+outcome = _tool("outcome_digest").outcome
+
+
+def tiered(monkeypatch, iprog, hot: int, inputs, backend: str = "checks",
+           trace: bool = False, **kw) -> tuple:
+    """`outcome` on fresh plans, blocks compiled on entry `hot`."""
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
+    iprog.rebuild_index()
+    return outcome(iprog, inputs, backend, trace, **kw)
 
 
 def run_text(text: str, kind: str = "prism", q: int = 0,

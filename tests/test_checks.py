@@ -12,8 +12,6 @@ from prismbox.checks import (
     CheckStats,
     Reason,
     access_check,
-    bounds_check,
-    bounds_check32,
     bounds_check_2k,
     escape_check,
     fast_pass,
@@ -32,36 +30,36 @@ def prism_obj(size=0x100, q=0):
 class TestBoundsCheckPrism:
     def test_upper_bound_abort(self):
         m, tag, sa, _ = prism_obj()
-        out = bounds_check(tag, sa + 0xF8, 16, m)
+        out = access_check(m.mode, tag, sa + 0xF8, 16, m)
         assert (out.ok, out.reason) == (False, Reason.UPPER_BOUND)
 
     def test_end_address_zero_size_passes(self):
         m, tag, _, ea = prism_obj()
-        assert bounds_check(tag, ea, 0, m).ok
+        assert access_check(m.mode, tag, ea, 0, m).ok
 
     def test_sa_fetch_pass(self):
         m, tag, sa, _ = prism_obj()
-        out = bounds_check(tag + 16, sa + 8, 8, m)
+        out = access_check(m.mode, tag + 16, sa + 8, 8, m)
         assert out.ok and out.sa_fetched
 
     def test_sa_fetch_lower_abort(self):
         m, tag, sa, _ = prism_obj()
-        out = bounds_check(tag, sa - 8, 8, m)
+        out = access_check(m.mode, tag, sa - 8, 8, m)
         assert (out.ok, out.reason, out.sa_fetched) == \
             (False, Reason.LOWER_BOUND, True)
 
     def test_end_exclusive(self):
         m, tag, sa, ea = prism_obj()
-        assert bounds_check(tag, ea - 1, 1, m).ok
-        assert not bounds_check(tag, ea, 1, m).ok
+        assert access_check(m.mode, tag, ea - 1, 1, m).ok
+        assert not access_check(m.mode, tag, ea, 1, m).ok
 
     def test_saturating_end(self):
         m, tag, sa, _ = prism_obj()
-        assert not bounds_check(tag, sa, MASK64, m).ok
+        assert not access_check(m.mode, tag, sa, MASK64, m).ok
 
     def test_skip_lower_suppresses_fetch(self):
         m, tag, sa, _ = prism_obj()
-        out = bounds_check(tag + 16, sa + 8, 8, m, skip_lower=True)
+        out = access_check(m.mode, tag + 16, sa + 8, 8, m, skip_lower=True)
         assert out.ok and not out.sa_fetched
 
     @pytest.mark.parametrize("size", [8, 24, 4096, 100000])
@@ -72,7 +70,7 @@ class TestBoundsCheckPrism:
             row = []
             for off, asz in [(0, size), (0, size + 1), (size - 1, 1),
                              (size - 1, 2), (-4, 4), (4, 8)]:
-                out = bounds_check(tag, sa + off, asz, m)
+                out = access_check(m.mode, tag, sa + off, asz, m)
                 row.append((out.ok, out.reason))
             outcomes.append(row)
         assert outcomes[0] == outcomes[1] == outcomes[2]
@@ -85,7 +83,7 @@ class TestBoundsCheckPrism:
     def test_matches_interval_oracle(self, size, off, asz, ksa_off):
         m, tag, sa, ea = prism_obj(size)
         ksa_off = min(ksa_off, size)
-        out = bounds_check(tag + ksa_off, sa + off, asz, m)
+        out = access_check(m.mode, tag + ksa_off, sa + off, asz, m)
         expect = sa <= sa + off and sa + off + asz <= ea
         assert out.ok == expect
         assert out.sa_fetched == (sa + off < sa + ksa_off
@@ -136,16 +134,16 @@ class TestBoundsCheck32:
 
     def test_upper_abort(self):
         m, tag, sa, _ = self.make()
-        out = bounds_check32(tag, sa + 250, 8, m)
+        out = access_check(m.mode, tag, sa + 250, 8, m)
         assert (out.ok, out.reason) == (False, Reason.UPPER_BOUND)
 
     def test_full_object_pass(self):
         m, tag, sa, _ = self.make()
-        assert bounds_check32(tag, sa, 256, m).ok
+        assert access_check(m.mode, tag, sa, 256, m).ok
 
     def test_lower_abort(self):
         m, tag, sa, _ = self.make()
-        out = bounds_check32(tag, sa - 1, 1, m)
+        out = access_check(m.mode, tag, sa - 1, 1, m)
         assert (out.ok, out.reason) == (False, Reason.LOWER_BOUND)
 
 
@@ -171,9 +169,9 @@ class TestCheckStats:
     def test_counters(self):
         m, tag, sa, ea = prism_obj()
         stats = CheckStats()
-        bounds_check(tag, sa, 8, m, stats=stats)           # fast path
-        bounds_check(tag + 16, sa + 8, 8, m, stats=stats)  # SA fetch
-        bounds_check(tag, ea, 8, m, stats=stats)           # abort
+        access_check(m.mode, tag, sa, 8, m, stats)           # fast path
+        access_check(m.mode, tag + 16, sa + 8, 8, m, stats)  # SA fetch
+        access_check(m.mode, tag, ea, 8, m, stats)           # abort
         assert stats.dynamic_checks == 3
         assert stats.sa_fetches == 1
         assert stats.aborts == 1
@@ -198,7 +196,7 @@ def test_fetch_log_keeps_first_entries_and_exact_count():
     stats = CheckStats()
     fetches = FETCH_LOG_LIMIT + 5
     for i in range(fetches):    # each pointer below its KSA fetches the SA
-        out = bounds_check(tag + i + 1, sa + i, 1, m, stats=stats)
+        out = access_check(m.mode, tag + i + 1, sa + i, 1, m, stats=stats)
         assert out.ok and out.sa_fetched
     assert stats.sa_fetches == stats.dynamic_checks == fetches
     assert len(stats.fetch_log) == FETCH_LOG_LIMIT
@@ -209,7 +207,7 @@ def test_fetch_log_keeps_first_entries_and_exact_count():
 def test_passing_checks_share_one_outcome():
     m, tag, sa, _ = prism_obj()
     stats = CheckStats()
-    assert bounds_check(tag, sa, 8, m, stats=stats) is PASS
+    assert access_check(m.mode, tag, sa, 8, m, stats=stats) is PASS
     m2 = SimMemory(Mode("pow2"))
     tag2 = m2.alloc(16)
     assert bounds_check_2k(tag2, m2.mode.strip(tag2), 8, m2.mode,

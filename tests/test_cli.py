@@ -239,6 +239,35 @@ def test_structural_error_exits_4_without_traceback(pir, name):
     assert word in proc.stderr and "Traceback" not in proc.stderr
 
 
+# name -> a command line with a usage error; FILE is a valid program and
+# MISSING a path in a directory that does not exist.
+USAGE_ERRORS = {
+    "unknown_mode": ["run", "FILE", "--mode", "bogus"],
+    "non_integer_input": ["run", "FILE", "x"],
+    "unknown_opt": ["run", "FILE", "--opt", "frob"],
+    "negative_qpad_run": ["run", "FILE", "--qpad", "-1"],
+    "negative_qpad_fuzz": ["fuzz", "--qpad", "-1"],
+    "unwritable_stats": ["run", "FILE", "--stats", "MISSING"],
+    "unknown_corpus_case": ["corpus", "nosuch"],
+    "negative_count": ["fuzz", "--count", "-3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_usage_error_exits_4_with_one_error_line(pir, tmp_path, capsys,
+                                                 name):
+    paths = {"FILE": pir("ll.pir", corpus_text("linked_list.pir")),
+             "MISSING": str(tmp_path / "missing" / "x.json")}
+    try:    # any other exception would end `prismbox` in a traceback
+        code = main([paths.get(a, a) for a in USAGE_ERRORS[name]])
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 4, err
+    assert len([line for line in err.splitlines()
+                if line.startswith("error:")]) == 1
+
+
 @pytest.mark.parametrize("mode", sorted(FORGED_TAGS))
 def test_forged_pointer_exits_1_without_traceback(pir, capsys, mode):
     path = pir("forged.pir", forged_pointer_program(FORGED_TAGS[mode]))

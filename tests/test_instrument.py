@@ -208,7 +208,6 @@ fn @main() {
   ret %s
 }
 """, opts=())
-        assert iprog.mask_counts["main"] == 1
         masks = [i for i in iprog.program.functions["main"].instructions()
                  if i.op == "mask"]
         assert len(masks) == 1
@@ -901,7 +900,7 @@ class TestDeepPrograms:
             assert ksa[f"p{n}"] == "p0"
         elif shape == "select":
             assert ksa[f"p{n}"] == f"p{n}.ksa"
-        assert len(iprog.cfgs["main"].reachable) == len(
+        assert len(iprog.infos["main"].cfg.reachable) == len(
             iprog.program.functions["main"].blocks)
 
 
@@ -932,8 +931,7 @@ class TestPipeline:
     def test_one_cfg_per_function_with_fresh_positions(self, name):
         iprog = instrument_text(corpus_text(name), q=8)
         for fn_name, fn in iprog.program.functions.items():
-            cfg = iprog.cfgs[fn_name]
-            assert cfg is iprog.infos[fn_name].cfg
+            cfg = iprog.infos[fn_name].cfg
             for block in fn.blocks:
                 for idx, instr in enumerate(block.instrs):
                     assert cfg.position(instr) == (block.label, idx)

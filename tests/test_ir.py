@@ -130,25 +130,10 @@ def test_globals_parse_and_print():
             "fn @main() {\n^entry:\n  %p = gaddr @buf\n"
             "  %v = load %p, 8\n  ret %v\n}\n")
     program = parse(text)
-    g = program.global_named("buf")
+    g, = program.globals
     assert g.size == 64 and g.escapes
     assert print_program(parse(print_program(program))) \
         == print_program(program)
-
-
-def test_unknown_global_named_is_none():
-    program = parse("global @buf size=8 escapes=false\n")
-    assert program.global_named("buf").size == 8
-    assert program.global_named("main") is None
-
-
-def test_every_ptr_value_has_provenance():
-    program = parse(corpus_text("linked_list.pir"))
-    infos = require_valid(program)
-    for name, info in infos.items():
-        for v, ty in info.types.items():
-            if ty == "ptr":
-                assert v in info.provenance
 
 
 def test_duplicate_value_rejected():

@@ -10,7 +10,7 @@ from prismbox import fuzz, oracle
 from prismbox.heap import SimMemory
 from prismbox.instrument import ELIDED_Q, instrument
 from prismbox.ir import parse
-from prismbox.oracle import classify, differential, differential_on, verdict_summary
+from prismbox.oracle import classify, differential, differential_on
 from prismbox.tagging import Mode
 from prismbox.verify import validate
 
@@ -130,12 +130,6 @@ fn @main() {
         v = differential(corpus_text("linked_list.pir"), Mode("prism", 0), [5])
         assert not v.ok and v.reason == reason
         assert v.oracle.exit_code == 0
-
-    def test_summary_shape(self):
-        verdicts = [differential(corpus_text("linked_list.pir"),
-                                 Mode("prism", 0), [5])]
-        summary = verdict_summary(verdicts)
-        assert summary["ok"] == 1 and summary["mismatches"] == 0
 
 
 class TestGenerator:

@@ -12,12 +12,12 @@ import re
 
 import pytest
 
-from conftest import corpus_text, instrument_text
+from conftest import corpus_text, instrument_text, tiered
 from prismbox import vm as vm_module
 from prismbox.heap import PAGE, ZERO_PAGE, SimMemory
 from prismbox.oracle import default_allowance
 from prismbox.tagging import Mode
-from prismbox.vm import EXIT_BOUNDS, EXIT_OK, VM, VmError
+from prismbox.vm import EXIT_BOUNDS, EXIT_OK, VM
 
 NEVER_HOT = 1 << 62
 KINDS = ["prism", "prism32", "pow2"]
@@ -266,34 +266,14 @@ fn @main(%n: int) {
 """
 
 
-def outcome(monkeypatch, iprog, hot, inputs, backend, step_limit=200_000):
-    """One run on fresh plans, blocks compiled on entry `hot`."""
-    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
-    iprog.rebuild_index()
-    allowance = default_allowance if backend == "oracle" else None
-    vm = VM(iprog, backend=backend, allowance=allowance,
-            step_limit=step_limit)
-    try:
-        res = vm.run(list(inputs))
-    except VmError as exc:
-        return "VmError", str(exc), vm.steps
-    stats = res.check_stats
-    return (res.exit_code, res.ret, res.steps, stats.dynamic_checks,
-            stats.sa_fetches, stats.xor_lower_paths, stats.aborts,
-            stats.fetch_log,
-            res.violation.to_dict() if res.violation else None,
-            [(e.cls, e.site.sid, e.addr, e.size)
-             for e in vm.allowed_events])
-
-
 def tiers_agree(monkeypatch, iprog, inputs, **kw):
     """Each backend's interpreted outcome, which compiling blocks on entry
     1 and on entry 50 must not change."""
     wants = []
     for backend in ("checks", "oracle"):
-        want = outcome(monkeypatch, iprog, NEVER_HOT, inputs, backend, **kw)
+        want = tiered(monkeypatch, iprog, NEVER_HOT, inputs, backend, **kw)
         for hot in (1, 50):
-            got = outcome(monkeypatch, iprog, hot, inputs, backend, **kw)
+            got = tiered(monkeypatch, iprog, hot, inputs, backend, **kw)
             assert got == want, (backend, hot)
         wants.append(want)
     return wants
@@ -339,7 +319,7 @@ def test_nested_loops(monkeypatch, kind, n):
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_header_with_two_latches(monkeypatch, kind):
     iprog = instrument_text(TWO_LATCH_PIR, kind)
-    assert sorted(loop.latch for loop in iprog.cfgs["main"].loops) == [
+    assert sorted(loop.latch for loop in iprog.infos["main"].cfg.loops) == [
         "even", "odd"]
     i = s = f = 0
     a = 3
@@ -394,7 +374,7 @@ def test_an_abort_and_an_allowed_event_in_a_fused_loop(monkeypatch, kind,
     iprog = instrument_text(EVENT_AND_ABORT_PIR, kind, 8)
     checks, oracle = tiers_agree(monkeypatch, iprog, [100, bad])
     assert checks[0] == oracle[0] == (EXIT_BOUNDS if bad < 100 else EXIT_OK)
-    events = oracle[9]
+    events = oracle[10]
     assert len(events) == min(bad + 1, 100)
     assert {cls for cls, *_ in events} == {"IN_PADDING"}
     assert calls_per_label(monkeypatch, iprog, "main", [100, bad])["hdr"] == 1
@@ -706,16 +686,16 @@ def test_a_shared_region_text_reports_its_own_programs_sites(monkeypatch,
     runs = []
     for text in (EVENT_AND_ABORT_PIR, SHIFTED_SIDS_PIR):
         iprog = instrument_text(text, kind, 8)
-        want = outcome(monkeypatch, iprog, NEVER_HOT, [8, 5], backend)
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [8, 5], backend)
         before = len(vm_module._CODES)
-        assert outcome(monkeypatch, iprog, 1, [8, 5], backend) == want
+        assert tiered(monkeypatch, iprog, 1, [8, 5], backend) == want
         runs.append((want, len(vm_module._CODES) - before))
     (first, compiled), (shifted, again) = runs
     assert compiled > 0 and again == 0
     assert first[0] == shifted[0] == EXIT_BOUNDS
     assert shifted[8]["sid"] == first[8]["sid"] + 1
-    assert [e[1] for e in shifted[9]] == [e[1] + 1 for e in first[9]]
-    assert len(first[9]) == (6 if backend == "oracle" else 0)
+    assert [e[1] for e in shifted[10]] == [e[1] + 1 for e in first[10]]
+    assert len(first[10]) == (6 if backend == "oracle" else 0)
 
 
 def test_the_code_cache_keeps_to_its_bound(monkeypatch):

@@ -15,7 +15,6 @@ from prismbox.tagging import (
     encode_pow2,
     encode_prism,
     pow2_aligned_size,
-    pow2_log,
     strip_tag,
 )
 
@@ -94,14 +93,14 @@ class TestComputeEa:
 class TestPow2:
     def test_worked_example(self):
         tag = encode_pow2(0x100010020, 5)
-        assert pow2_log(tag) == 5
+        assert pow2_aligned_size(tag) == 1 << 5
         assert strip_tag(tag) == 0x100010020
 
     def test_log_zero_single_byte_region(self):
         assert pow2_aligned_size(encode_pow2(0x100010020, 0)) == 1
 
     def test_log_sixteen(self):
-        assert pow2_log(encode_pow2(0x100010000, 16)) == 16
+        assert pow2_aligned_size(encode_pow2(0x100010000, 16)) == 1 << 16
 
     def test_misaligned_sa_rejected(self):
         with pytest.raises(EncodingError):

@@ -3,11 +3,10 @@
 import pytest
 
 from conftest import (FORGED_TAGS, RECURSIVE_PIR, corpus_expectations,
-                      corpus_text, instrument_text, run_text)
+                      corpus_text, instrument_text, outcome, run_text, tiered)
 from prismbox import fuzz
 from prismbox import vm as vm_module
 from prismbox.instrument import ELIDED_Q
-from prismbox.oracle import default_allowance
 from prismbox.vm import VM, EXIT_BOUNDS, EXIT_ESCAPE, EXIT_OK, VmError
 
 
@@ -404,12 +403,10 @@ class TestPlans:
         shared = instrument_text(text, kind, q)
         for backend, trace in [("checks", False), ("oracle", False),
                                ("checks", True)]:
-            allowance = default_allowance if backend == "oracle" else None
             fresh = instrument_text(text, kind, q)
-            got, want = (VM(iprog, backend=backend, allowance=allowance,
-                            trace=trace).run(list(inputs))
+            got, want = (outcome(iprog, inputs, backend, trace)
                          for iprog in (shared, fresh))
-            assert _observed(got) == _observed(want)
+            assert got == want
             plans = {name: dict(p) for name, p in shared.plans.items()}
             assert plans and all(plans.values())
         # Every later run reused the plans decoded by the first.
@@ -436,14 +433,6 @@ class TestPlans:
                             lambda *a: built.append(a) or handler(*a))
         assert decode(range(1000, 1200)).handlers is warm.handlers
         assert built == []
-
-
-def _observed(res):
-    stats = res.check_stats
-    return (res.exit_code, res.ret, res.steps, stats.dynamic_checks,
-            stats.sa_fetches, stats.xor_lower_paths, stats.aborts,
-            stats.fetch_log,
-            res.violation.to_dict() if res.violation else None, res.trace)
 
 
 # A threshold no block reaches: every block stays on the interpreter.
@@ -634,25 +623,6 @@ fn @main(%n: int, %bad: int) {
 """
 
 
-def _tier_outcome(iprog, inputs, backend="checks", trace=False,
-                  step_limit=200_000):
-    allowance = default_allowance if backend == "oracle" else None
-    vm = VM(iprog, backend=backend, allowance=allowance, trace=trace,
-            step_limit=step_limit)
-    try:
-        res = vm.run(list(inputs))
-    except VmError as exc:
-        return "VmError", str(exc), vm.steps
-    return _observed(res) + (len(vm.allowed_events),)
-
-
-def _tiered(monkeypatch, iprog, hot, *args, **kw):
-    """`_tier_outcome` on fresh plans, blocks compiled on entry `hot`."""
-    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", hot)
-    iprog.rebuild_index()
-    return _tier_outcome(iprog, *args, **kw)
-
-
 def _array_loop(kind="prism", tag=0):
     """ARRAY_LOOP_PIR without checks to hoist; from i=60 on it loads
     through a pointer stored with `tag`."""
@@ -677,7 +647,7 @@ class TestTiers:
                 iprog.rebuild_index()
                 # Untraced runs first: the traced runs must pass over the
                 # blocks those compiled.
-                outcomes.append([_tier_outcome(iprog, inputs, backend, trace)
+                outcomes.append([outcome(iprog, inputs, backend, trace)
                                  for trace in (False, True)
                                  for backend in ("checks", "oracle")])
                 compiled += sum(len(p.tiers[0][0]) + len(p.tiers[1][0])
@@ -693,10 +663,10 @@ class TestTiers:
         # iterations and of iterations past the 50th.
         iprog = instrument_text(SPLIT_CALL_LOOP_PIR)
         for limit in [*range(1, 30), *range(600, 630)]:
-            want = _tiered(monkeypatch, iprog, NEVER_HOT, [100],
+            want = tiered(monkeypatch, iprog, NEVER_HOT, [100],
                            step_limit=limit)
             assert want == ("VmError", "step limit exceeded", limit + 1)
-            assert _tiered(monkeypatch, iprog, hot, [100],
+            assert tiered(monkeypatch, iprog, hot, [100],
                            step_limit=limit) == want
         compiled = iprog.plans["main"].tiers[0][0]
         assert compiled["loop"] is not None and compiled["call"] is None
@@ -709,12 +679,12 @@ class TestTiers:
         # the last ones, and at and past the run's end.
         iprog = instrument_text(CALL_LOOP_PIR.replace("call @inc(%a)",
                                                       "add %a, 1"))
-        total = _tiered(monkeypatch, iprog, NEVER_HOT, [60])[2]
+        total = tiered(monkeypatch, iprog, NEVER_HOT, [60])[2]
         for limit in [*range(1, 30), *range(total - 30, total + 2)]:
-            want = _tiered(monkeypatch, iprog, NEVER_HOT, [60],
+            want = tiered(monkeypatch, iprog, NEVER_HOT, [60],
                            step_limit=limit)
             assert want[2] == min(limit + 1, total)
-            assert _tiered(monkeypatch, iprog, hot, [60],
+            assert tiered(monkeypatch, iprog, hot, [60],
                            step_limit=limit) == want
         assert iprog.plans["main"].tiers[0][0]["loop"] is not None
 
@@ -728,17 +698,17 @@ class TestTiers:
         assert site.widened and site.kind == ("LoopHoisted"
                                               if shape == "hoisted"
                                               else "Access")
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [n])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [n])
         assert want[0] == EXIT_BOUNDS and want[8]["sid"] == site.sid
-        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [n]) == want
+        assert tiered(monkeypatch, iprog, DEFAULT_HOT, [n]) == want
         assert iprog.plans[fn].tiers[0][0][label] is not None
 
     @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
     def test_abort_in_a_compiled_block(self, monkeypatch, kind):
         iprog = _array_loop(kind)
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [150])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [150])
         assert want[0] == EXIT_BOUNDS and want[2] > 60 * 12
-        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [150]) == want
+        assert tiered(monkeypatch, iprog, DEFAULT_HOT, [150]) == want
 
     @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
     @pytest.mark.parametrize("bad", [16, 64, -8])
@@ -747,7 +717,7 @@ class TestTiers:
         escapes = [s for s in iprog.sites if s.kind == "Escape"]
         assert [(s.escape_value, s.maybe_equal) for s in escapes] == [
             ("p", True), ("g", False), ("h", False)]
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [100, bad])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [100, bad])
         if bad == 16:
             # Per trip: the store to %cell, %g and %h; %p counts none.
             assert (want[0], want[1], want[3]) == (EXIT_OK, 100, 300)
@@ -759,9 +729,9 @@ class TestTiers:
         check_escape = VM._check_escape
         monkeypatch.setattr(VM, "_check_escape", lambda vm, site, env: (
             handled.append(site.sid), check_escape(vm, site, env)))
-        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [100, bad]) == want
+        assert tiered(monkeypatch, iprog, DEFAULT_HOT, [100, bad]) == want
         handled.clear()
-        assert _tiered(monkeypatch, iprog, 1, [100, bad]) == want
+        assert tiered(monkeypatch, iprog, 1, [100, bad]) == want
         # Compiled from the first trip on, only the abort calls the handler.
         assert handled == ([] if bad == 16 else [escapes[2].sid])
 
@@ -770,9 +740,9 @@ class TestTiers:
          "read of unmapped address 0x1000")])
     def test_vm_error_in_a_compiled_block(self, monkeypatch, iprog, message):
         iprog = iprog()
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [90])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [90])
         assert want[:2] == ("VmError", message) and want[2] > 60 * 12
-        assert _tiered(monkeypatch, iprog, DEFAULT_HOT, [90]) == want
+        assert tiered(monkeypatch, iprog, DEFAULT_HOT, [90]) == want
 
     @pytest.mark.parametrize("hot", [1, DEFAULT_HOT])
     def test_a_fault_after_pure_ops_counts_its_steps(self, monkeypatch, hot):
@@ -784,17 +754,17 @@ class TestTiers:
         iprog = instrument_text(text, "prism", 8, opts=("qpad",))
         (w,) = [s for s in iprog.sites if s.origin.dest == "w"]
         assert w.status == ELIDED_Q
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [90])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [90])
         assert want[:2] == ("VmError", "read of unmapped address 0x1000")
-        assert _tiered(monkeypatch, iprog, hot, [90]) == want
+        assert tiered(monkeypatch, iprog, hot, [90]) == want
 
     @pytest.mark.parametrize("kind", ["prism", "pow2", "prism32"])
     def test_literal_escape_in_a_compiled_block(self, monkeypatch, kind):
         iprog = instrument_text("fn @main() {\n^entry:\n  %c = alloc 8\n"
                                 "  storep %c, 1\n  ret 0\n}\n", kind, opts=())
-        want = _tiered(monkeypatch, iprog, NEVER_HOT, [])
+        want = tiered(monkeypatch, iprog, NEVER_HOT, [])
         assert want[0] == EXIT_ESCAPE and want[6] == 1      # one abort
-        assert _tiered(monkeypatch, iprog, 1, []) == want
+        assert tiered(monkeypatch, iprog, 1, []) == want
         assert iprog.plans["main"].tiers[0][0]["entry"] is not None
 
     def test_rebuild_index_drops_compiled_blocks(self):

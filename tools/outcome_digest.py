@@ -45,9 +45,10 @@ def programs():
         yield fuzz.generate(seed, "mixed")
 
 
-def outcome(iprog, inputs, backend: str, trace: bool) -> tuple:
+def outcome(iprog, inputs, backend: str, trace: bool,
+            step_limit: int = STEP_LIMIT) -> tuple:
     machine = vm.VM(iprog, backend=backend, trace=trace,
-                    step_limit=STEP_LIMIT,
+                    step_limit=step_limit,
                     allowance=default_allowance if backend == "oracle"
                     else None)
     try:
