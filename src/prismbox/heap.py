@@ -274,6 +274,10 @@ class SimMemory:
         return self._record(sa, ea, size, tagged, (y, ea))
 
     def alloc_pow2(self, size: int, kind: str = "heap") -> int:
+        # Refused before any page is mapped: a q that leaves no room in
+        # prism's 4GB frame even for one byte and its SA (alloc_large).
+        if self.q + 9 > MAX_ALLOC:
+            raise AllocError(f"q={self.q} padding needs more than a 4GB frame")
         aligned = _next_pow2(size + 1)
         if aligned.bit_length() - 1 > 46 or self._pow2_bump + aligned > ADDR_MASK:
             raise AllocError(f"pow2 allocation of {size} exceeds the budget")
@@ -365,6 +369,8 @@ class SimMemory:
         rec = self.record_at(sa)
         if rec is None or rec.sa != sa:
             raise FreeError(f"free of unknown address {sa:#x}")
+        if rec.kind == "global":
+            raise FreeError(f"free of global {sa:#x}")
         if not rec.live:
             raise FreeError(f"double free of {sa:#x}")
         rec.live = False

@@ -17,8 +17,11 @@ Textual format (.pir), one instruction per line:
 
 `OPS` is the instruction grammar: each op's result type and operands.  The
 value-less ops (`store`, `storep`, `free`, `br`, `condbr`, `ret`) take no
-`%x =`.  A function's entry block holds no phi, since a call enters it on no
-edge that an incoming could name; a branch back to it is allowed.  A phi
+`%x =`.  An instruction line is matched whole by its op's pattern, made from
+`OPS` on the op's first use (gep, phi, call/extern and icmp/ptrcmp by hand);
+the match fills the `Instr`, and a line that no pattern matches is
+diagnosed.  A function's entry block holds no phi, since a call enters it on
+no edge that an incoming could name; a branch back to it is allowed.  A phi
 gives a predecessor one value on all its edges.  Offsets are byte-granular;
 there are no first-class struct types.  `null` is the untyped zero pointer
 literal.  `loadp`/`storep` move 8-byte pointer values and are the only way a
@@ -176,8 +179,9 @@ class Program:
 
 _IDENT = r"[A-Za-z_][A-Za-z0-9_.]*"
 _NAME = "%" + _IDENT
-_SYM = r"@[A-Za-z_][A-Za-z0-9_.]*"
-_LABEL = r"\^[A-Za-z_][A-Za-z0-9_.]*"
+_SYM = "@" + _IDENT
+_LABEL = r"\^" + _IDENT
+_VALUE = rf"-?0x[0-9a-fA-F]+|-?\d+|{_NAME}|null"
 
 _RE_GLOBAL = re.compile(
     rf"^global\s+({_SYM})\s+size=(\d+)\s+escapes=(true|false)$")
@@ -185,57 +189,118 @@ _RE_EXTERN = re.compile(rf"^extern\s+({_SYM})\s+kind=(\w+)$")
 _RE_FN = re.compile(rf"^fn\s+({_SYM})\s*\(([^)]*)\)\s*\{{$")
 _RE_PARAM = re.compile(rf"^({_NAME})\s*:\s*(int|ptr)$")
 _RE_BLOCK = re.compile(rf"^({_LABEL}):$")
-# `%dest = op rest`: the op runs to the first space, as in an unassigned line.
-_RE_ASSIGN = re.compile(rf"^%({_IDENT})\s*=\s*([^ ]+)(?: (.*))?$")
-_RE_CALLARGS = re.compile(rf"^({_SYM})\s*\(([^)]*)\)$")
-_RE_TERM = re.compile(rf"^({_NAME})\s*\*\s*(-?\d+)$")
-_RE_INCOMING = re.compile(rf"^\[\s*(.+?)\s*,\s*({_LABEL})\s*\]$")
-_RE_VALUE = re.compile(rf"({_NAME})|(-?\d+)|(-?0x[0-9a-fA-F]+)")
-_RE_INT = re.compile(r"-?\d+")
-_RE_KIND = {"size": re.compile(r"\d+"), "@": re.compile(_SYM),
-            "^": re.compile(_LABEL)}
+_DEST = rf"(?:%({_IDENT})\s*=\s*)?"
+# A line's `%dest =`, op and operand text: the op runs to the first space.
+_RE_HEAD = re.compile(rf"{_DEST}([^ ]+)(?: (.*))?")
+_VALUES = re.compile(_VALUE).findall
+_INCOMINGS = re.compile(rf"\[\s*({_VALUE})\s*,\s*\^({_IDENT})").findall
+_GEP_TERMS = re.compile(rf"({_NAME})\s*\*\s*(-?\d+)").findall
+_GEP_CONSTS = re.compile(r",\s*(-?\d+)").findall
+
+# An operand between commas, by kind; a value's is _V.
+_V = rf"\s*({_VALUE})\s*"
+_KIND = {"size": r"\s*(\d+)\s*", "@": rf"\s*@({_IDENT})\s*",
+         "^": rf"\s*\^({_IDENT})\s*"}
+_INCOMING = rf"\s*\[\s*(?:{_VALUE})\s*,\s*{_LABEL}\s*\]\s*"
+_ARGS = rf"(?:{_VALUE})\s*(?:,\s*(?:{_VALUE})\s*)*"
+# The hand-written ops: the pattern after `op `, and Instr fields by group
+# (group 1 is the %dest).
+_HAND = {
+    "gep": (rf"{_V}((?:,\s*(?:{_NAME}\s*\*\s*-?\d+|-?\d+)\s*)*)",
+            {"operands": "v[m[2]]",
+             "gep": "sum(map(int, _GEP_CONSTS(m[3]))), "
+                    "[(v[a], int(b)) for a, b in _GEP_TERMS(m[3])]"}),
+    "phi": (rf"({_INCOMING}(?:,{_INCOMING})*)",
+            {"incomings": "[(v[a], b) for a, b in _INCOMINGS(m[2])]"}),
+    "call": (rf"\s*@({_IDENT})\s*\(\s*((?:{_ARGS})?)\)",
+             {"callee": "m[2]", "operands": "*map(v.__getitem__, "
+                                            "_VALUES(m[3]))"}),
+    "icmp": (rf"\s*({'|'.join(CMP_OPS)}) {_V},{_V}",
+             {"cmp": "m[2]", "operands": "v[m[3]], v[m[4]]"}),
+}
+_HAND["extern"], _HAND["ptrcmp"] = _HAND["call"], _HAND["icmp"]
+_SYNTAX = {"gep": "base:ptr, %index*scale or offset, ...", "call": "@f(args)",
+           "extern": "@f(args)", "phi": "[value, ^label], ..."}
 
 
-def _parse_value(tok: str, op: str, line: int):
-    """A stripped token's value: a name, an int literal or null."""
-    m = _RE_VALUE.fullmatch(tok)
-    if m is None:
-        if tok == "null":
-            return 0
-        raise ParseError(f"bad {op} operand {tok!r}", line)
-    alt = m.lastindex       # a name, a decimal or a hex literal
-    if alt == 1:
-        return tok[1:]
-    return int(tok, 10 if alt == 2 else 16)
+class _Rules(dict):
+    """Each op's rule, made on the op's first use: the fullmatch of its line
+    pattern, and the function that builds its Instr from a match, the line
+    number and the value memo.  A word that is no op matches nothing."""
+
+    def __missing__(self, op: str) -> tuple:
+        if op not in OPS:
+            return (lambda line: None), None
+        spec, g = OPS[op], 1 + (op not in VALUELESS)    # g: 1st operand group
+        body, fields = _HAND.get(op, ("", {}))
+        f = {"dest": "m[1]" if g == 2 else None, "operands": "",
+             "size": spec.size, "gep": "0, []", "incomings": "[]",
+             "labels": "", "callee": None, "cmp": None, **fields}
+        for i, (_role, kind) in enumerate(() if fields else spec.operands):
+            ref, piece, sep = f"m[{g + i}]", _KIND.get(kind, _V), "," * (i > 0)
+            body += sep + piece if i < spec.required else f"(?:{sep}{piece}"
+            if kind == "size":
+                f["size"] = f"v[{ref}]"
+            elif kind == "@":
+                f["callee"] = ref
+            elif kind == "^":
+                f["labels"] += f"{ref}, "
+            else:   # a value; an optional one is trailing
+                f["operands"] += (f"v[{ref}], " if i < spec.required
+                                  else f"*([v[{ref}]] if {ref} else ()), ")
+        body += ")?" * (len(spec.operands) - spec.required)
+        text = _DEST * (g == 2) + (f"{op} {body}" if spec.required or fields
+                                   else f"{op}(?: {body})?")
+        rule = self[op] = re.compile(text).fullmatch, eval(
+            "lambda m, n, v: Instr({op!r}, {dest}, [{operands}], {size}, "
+            "{gep}, {incomings}, [{labels}], {callee}, {cmp}, n)"
+            .format(op=op, **f), globals())
+        return rule
+
+
+_RULES = _Rules()
+
+
+class _Values(dict):
+    """Each value token's value, made once per parse: tokens repeat."""
+
+    def __missing__(self, tok: str):
+        value = self[tok] = (tok[1:] if tok[0] == "%" else 0 if tok == "null"
+                             else int(tok, 16 if "x" in tok else 10))
+        return value
 
 
 def _split_args(text: str, what: str, line: int) -> list[str]:
-    """Split on top-level commas, respecting [value, ^label] brackets.
-
-    Blank text is an empty list; an empty argument is an error.
-    """
-    if "[" not in text and "]" not in text:
-        parts = [p.strip() for p in text.split(",")]
-    else:       # a comma inside brackets joins its neighbours
-        parts, depth = [], 0
-        for piece in text.split(","):
-            if depth:
-                parts[-1] += "," + piece
-            else:
-                parts.append(piece)
-            depth += piece.count("[") - piece.count("]")
-        parts = [p.strip() for p in parts]
-    if "" in parts:
-        if len(parts) == 1:         # blank text
-            return []
+    """Comma-separated parts: none in blank text, and no empty one."""
+    parts = [p.strip() for p in text.split(",")]
+    if "" in parts and len(parts) > 1:
         raise ParseError(f"empty argument in {what}", line)
-    return parts
+    return [] if parts == [""] else parts
+
+
+def _diagnose(line: str, lineno: int):
+    """Raise the ParseError of an instruction line that no pattern matched."""
+    dest, op, rest = _RE_HEAD.match(line).groups("")
+    if op not in OPS:
+        raise ParseError(f"unknown opcode {op!r}", lineno)
+    if dest and op in VALUELESS:
+        raise ParseError(f"{op} has no value for %{dest}", lineno)
+    if op in ("icmp", "ptrcmp"):
+        cmp, _, rest = rest.strip().partition(" ")
+        if cmp not in CMP_OPS:
+            raise ParseError(f"bad {op} comparison {cmp!r}", lineno)
+    elif op in ("call", "extern"):
+        rest = rest.partition("(")[2].rpartition(")")[0]
+    _split_args(rest, op, lineno)
+    syntax = _SYNTAX.get(op) or OPS[op].syntax()
+    raise ParseError(f"{op} takes: {syntax}", lineno)
 
 
 def parse(text: str) -> Program:
     program = Program()
     fn: Function | None = None
     block: Block | None = None
+    rules, values = _RULES, _Values()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = (raw.partition(";")[0] if ";" in raw else raw).strip()
         if not line:
@@ -244,41 +309,36 @@ def parse(text: str) -> Program:
             m = _RE_GLOBAL.match(line)
             if m:
                 program.globals.append(
-                    Global(m.group(1)[1:], int(m.group(2)),
-                           m.group(3) == "true"))
+                    Global(m[1][1:], int(m[2]), m[3] == "true"))
                 continue
             m = _RE_EXTERN.match(line)
             if m:
-                kind = m.group(2)
-                if kind not in EXTERN_KINDS:
-                    raise ParseError(f"unknown extern kind {kind!r}", lineno)
-                program.externs[m.group(1)[1:]] = kind
+                if m[2] not in EXTERN_KINDS:
+                    raise ParseError(f"unknown extern kind {m[2]!r}", lineno)
+                program.externs[m[1][1:]] = m[2]
                 continue
             m = _RE_FN.match(line)
             if m:
                 params = []
-                for part in _split_args(m.group(2), m.group(1), lineno):
+                for part in _split_args(m[2], m[1], lineno):
                     pm = _RE_PARAM.match(part)
                     if not pm:
                         raise ParseError(f"bad parameter {part!r}", lineno)
-                    params.append((pm.group(1)[1:], pm.group(2)))
-                name = m.group(1)[1:]
+                    params.append((pm[1][1:], pm[2]))
+                name = m[1][1:]
                 if name in program.functions:
                     raise ParseError(f"duplicate function @{name}", lineno)
-                fn = Function(name, params)
-                program.functions[name] = fn
-                block = None
+                fn = program.functions[name] = Function(name, params)
                 continue
             raise ParseError(f"unexpected top-level line {line!r}", lineno)
         if line == "}":
             if not fn.blocks:
                 raise ParseError(f"function @{fn.name} has no blocks", lineno)
-            fn = None
-            block = None
+            fn = block = None
             continue
         m = _RE_BLOCK.match(line) if line[-1] == ":" else None
         if m:
-            label = m.group(1)[1:]
+            label = m[1][1:]
             if label in fn._blockmap:
                 raise ParseError(f"duplicate block ^{label}", lineno)
             block = fn._blockmap[label] = Block(label)
@@ -286,74 +346,14 @@ def parse(text: str) -> Program:
             continue
         if block is None:
             raise ParseError("instruction outside a block", lineno)
-        block.instrs.append(_parse_instr(line, lineno))
+        # The op is the word after `%dest =`, or the first word.
+        head = line.partition("=")[2].lstrip() if line[0] == "%" else line
+        match, build = rules[head.partition(" ")[0]]
+        m = match(line) or _diagnose(line, lineno)
+        block.instrs.append(build(m, lineno, values))
     if fn is not None:
         raise ParseError(f"unterminated function @{fn.name}", lineno)
     return program
-
-
-def _parse_instr(line: str, lineno: int) -> Instr:
-    m = _RE_ASSIGN.match(line) if line[0] == "%" else None
-    if m:
-        dest, op, rest = m.groups("")
-    else:
-        dest = None
-        op, _, rest = line.partition(" ")
-    spec = OPS.get(op)
-    if spec is None:
-        raise ParseError(f"unknown opcode {op!r}", lineno)
-    if dest is not None and op in VALUELESS:
-        raise ParseError(f"{op} has no value for %{dest}", lineno)
-    # Positional: the cheapest way to build one.
-    instr = Instr(op, dest, [], spec.size, 0, [], [], [], None, None, lineno)
-    if op in ("call", "extern"):
-        cm = _RE_CALLARGS.match(rest.strip())
-        if not cm:
-            raise ParseError(f"bad {op} syntax", lineno)
-        instr.callee = cm.group(1)[1:]
-        instr.operands = [_parse_value(t, op, lineno)
-                          for t in _split_args(cm.group(2), op, lineno)]
-        return instr
-    if op in ("icmp", "ptrcmp"):
-        instr.cmp, _, rest = rest.strip().partition(" ")
-        if instr.cmp not in CMP_OPS:
-            raise ParseError(f"bad {op} comparison {instr.cmp!r}", lineno)
-    parts = _split_args(rest, op, lineno)
-    if op == "phi":
-        for part in parts:
-            im = _RE_INCOMING.match(part)
-            if not im:
-                raise ParseError(f"bad phi incoming {part!r}", lineno)
-            instr.incomings.append(
-                (_parse_value(im.group(1).strip(), op, lineno),
-                 im.group(2)[1:]))
-        if not instr.incomings:
-            raise ParseError("phi needs incomings", lineno)
-        return instr
-    if op == "gep":
-        parts, terms = parts[:1], parts[1:]
-        for part in terms:
-            tm = _RE_TERM.match(part)
-            if tm:
-                instr.gep_terms.append((tm.group(1)[1:], int(tm.group(2))))
-            elif _RE_INT.fullmatch(part):
-                instr.gep_const += int(part)
-            else:
-                raise ParseError(f"bad gep term {part!r}", lineno)
-    if not spec.required <= len(parts) <= len(spec.operands):
-        raise ParseError(f"{op} takes: {spec.syntax()}", lineno)
-    for part, (role, kind) in zip(parts, spec.operands):
-        if kind in VALUE_KINDS:
-            instr.operands.append(_parse_value(part, op, lineno))
-        elif not _RE_KIND[kind].fullmatch(part):
-            raise ParseError(f"bad {op} {role} {part!r}", lineno)
-        elif kind == "size":
-            instr.size = int(part)
-        elif kind == "@":
-            instr.callee = part[1:]
-        else:
-            instr.labels.append(part[1:])
-    return instr
 
 
 # --------------------------------------------------------------------- print

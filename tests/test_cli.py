@@ -290,6 +290,17 @@ def test_largest_allocation_exits_0_or_1_without_traceback(pir, capsys, q):
         assert code == 0 or "4GB frame" in err
 
 
+def test_pow2_refuses_a_qpad_no_4gb_frame_holds(pir):
+    # A q padding this large, mapped page by page, would take ~1.5e9 pages
+    # for one allocation; the child's timeout keeps a hang to one test.
+    path = pir("ll.pir", corpus_text("linked_list.pir"))
+    proc = python_isolated(CLI_MAIN, "run", path, "5", "--mode", "pow2",
+                           "--qpad", "100000000000000", timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == ("vm error: q=100000000000000 padding "
+                                   "needs more than a 4GB frame")
+
+
 # Runs `python -c CODE ARGS` in a child of its own and prints the child's
 # exit code, output and peak RSS in kB as JSON.  A child started straight
 # from the test process would report that process's memory: a forked child

@@ -54,6 +54,15 @@ class TestAllocSmall:
         with pytest.raises(AllocError):
             mem(materialize=False).alloc(MAX_ALLOC + 1)
 
+    @pytest.mark.parametrize("kind", ["prism", "pow2"])
+    def test_qpad_past_a_4gb_frame_rejected(self, kind):
+        # At q = MAX_ALLOC - 9, one byte, its q padding and an 8-byte SA
+        # take MAX_ALLOC bytes, the most one 4GB frame holds.  pow2 stores
+        # no SA, but refuses a larger q as prism does, before mapping.
+        mem(kind, MAX_ALLOC - 9, materialize=False).alloc(1)
+        with pytest.raises(AllocError, match="4GB frame"):
+            mem(kind, MAX_ALLOC - 8, materialize=False).alloc(1)
+
     def test_small_never_straddles_frame(self):
         m = mem(q=8)
         for size in (1, 7, 8, 100, 4096, 60000, (1 << 16) - 16):

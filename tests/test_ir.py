@@ -284,3 +284,48 @@ _TWO_WAY = """fn @main(%n: int) {
         "entry_block_phi", "repeated_predecessor_phi"])
 def test_validator_diagnostic(text, message):
     assert validate(parse(text)) == [message]
+
+
+# Any whitespace may stand around `=`, `,`, `*`, `[`, `]`, `(` and `)`, and
+# a literal prints in decimal.
+@pytest.mark.parametrize("line,canonical", [
+    ("%x=add 1,2", "%x = add 1, 2"),
+    ("%x = add  %a ,%b", "%x = add %a, %b"),
+    ("%p = gep %a, %i * 8, -4", "%p = gep %a, %i*8, -4"),
+    ("phi [ 0 , ^a ], [%v,^b]", "phi [0, ^a], [%v, ^b]"),
+    ("call @f( 1 , 2 )", "call @f(1, 2)"),
+    ("call @f( )", "call @f()"),
+    ("icmp lt  %a, 0x1F", "icmp lt %a, 31"),
+    ("ret", "ret"),
+    ("%x = select %c,null , %p", "%x = select %c, 0, %p"),
+])
+def test_respaced_and_literal_lines_print_canonically(line, canonical):
+    text = "fn @main() {\n^entry:\n  %s\n  ret 0\n}\n"
+    assert print_program(parse(text % line)) == text % canonical
+
+
+@pytest.mark.parametrize("line,message", [
+    ("%x = bogus 1", "unknown opcode 'bogus'"),
+    ("%x = br ^a", "br has no value for %x"),
+    ("%x = add 1,, 2", "empty argument in add"),
+    ("%x = call @f(1,)", "empty argument in call"),
+    ("%x = icmp lt2 %a, 1", "bad icmp comparison 'lt2'"),
+    ("%x = load %p", "load takes: address:ptr, size:size"),
+    ("ret 1, 2", "ret takes: value:any?"),
+    ("%x = gep %p, %i*x", "gep takes: base:ptr, %index*scale or offset, ..."),
+    ("%x = phi [1 ^a]", "phi takes: [value, ^label], ..."),
+    ("%x = call @f(", "call takes: @f(args)"),
+])
+def test_instruction_diagnostic(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse(f"fn @main() {{\n^entry:\n  {line}\n  ret 0\n}}\n")
+    assert str(exc.value) == f"line 3: {message}"
+
+
+def test_import_builds_no_op_pattern():
+    # Each op's line pattern is built on the op's first use, so a process
+    # that imports prismbox compiles none of them.
+    proc = python_isolated("import prismbox; from prismbox import ir; "
+                           "print(len(ir._RULES))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"

@@ -29,7 +29,7 @@ from conftest import FORGED_TAGS
 from prismbox import fuzz
 from prismbox.heap import SimMemory
 from prismbox.instrument import instrument
-from prismbox.ir import OPS, TERMINATORS, ParseError, parse
+from prismbox.ir import OPS, TERMINATORS, ParseError, parse, print_program
 from prismbox.tagging import Mode
 from prismbox.verify import ValidationError
 from prismbox.vm import VM, VmError
@@ -249,6 +249,31 @@ def test_programs_without_wild_choices_end_in_a_defined_outcome(text, mode):
     # Most of these validate, so their phis, loop-carried ones and those of
     # a repeated predecessor included, reach the VM.
     run_pipeline(text, mode)
+
+
+_INSTR_LINE = re.compile(r"  (?:(%[\w.]+) = )?(\w+)(?: (.*))?")
+_PUNCT = re.compile(r"\s*([=,*\[\]()])\s*")
+SPACES = ["", " ", "  ", "\t"]
+
+
+def respaced(line: str, pick) -> str:
+    """An instruction line with `pick()` whitespace on each side of `=`, `,`,
+    `*`, brackets and parentheses; the op keeps the one space after it."""
+    dest, op, rest = _INSTR_LINE.fullmatch(line).groups()
+    head = f"{dest}{pick()}={pick()}" if dest else ""
+    tail = _PUNCT.sub(lambda m: pick() + m[1] + pick(), rest or "")
+    return f"  {head}{op}" + (f" {tail}" if rest else "")
+
+
+@settings(max_examples=200, deadline=None)
+@given(op_programs(wild=False), st.data())
+def test_respaced_instruction_lines_print_alike(text, data):
+    def pick():
+        return data.draw(st.sampled_from(SPACES))
+    lines = [respaced(line, pick) if line.startswith("  ") else line
+             for line in text.splitlines()]
+    assert print_program(parse("\n".join(lines) + "\n")) \
+        == print_program(parse(text))
 
 
 # ---------------------------------------------- mutated generated programs

@@ -343,6 +343,23 @@ fn @main() {
     assert bad.exit_code == EXIT_BOUNDS
 
 
+@pytest.mark.parametrize("backend", ["checks", "oracle"])
+@pytest.mark.parametrize("kind", ["prism", "prism32", "pow2"])
+def test_free_of_a_global_is_a_vm_error(kind, backend):
+    # A global is no heap object: C leaves its free undefined, and glibc
+    # aborts on it.
+    with pytest.raises(VmError, match="free of global"):
+        run_text("""
+global @g size=16 escapes=true
+fn @main() {
+^entry:
+  %p = gaddr @g
+  free %p
+  ret 0
+}
+""", kind, backend=backend)
+
+
 class TestCallDepth:
     def test_moderate_recursion_returns(self):
         res, _, _ = run_text(RECURSIVE_PIR, inputs=[100])
