@@ -4,7 +4,9 @@ Computes the statically known starting address (KSA) of every pointer by
 rolling back pointer arithmetic, inserts access and escape check sites,
 rebuilds address chains over tag-masked values, and then runs the check
 elimination passes: q-padding elision, lower-bound drop, check combining,
-and loop hoisting.
+and loop hoisting.  Each function starts from what validation found
+(`FunctionInfo`): its values' definitions, types and blocks, its CFG, and
+its accesses, escapes and pointer comparisons in program order.
 
 A hoisted or widened check runs before the accesses it covers.  Three
 rules keep it from stopping a correct program.  A loop is hoisted only if it
@@ -33,7 +35,6 @@ ALL_OPTS = ("qpad", "lower", "combine", "hoist")
 COMBINE_CAP = 1 << 22        # 4MB cap on combined constants
 HOIST_CAP = 1 << 30
 
-ACCESS_OPS = ("load", "loadp", "store", "storep")
 KSA_ROOT_OPS = ("alloc", "stackalloc", "alloca_dyn", "gaddr", "loadp",
                 "extern", "call")
 _LINKS = ("gep", "mask")         # a pointer's KSA is its base's
@@ -212,16 +213,12 @@ class _FnInstrumenter:
         self.ksa: dict = {}
         self.reset_map: dict = {}
         self._self_ksa: dict | None = None
-        # What the passes below read, in program order.  They insert only
-        # value definitions, so these lists stay complete.
-        instrs = fn.instructions()
-        self.accesses = [i for i in instrs if i.op in ACCESS_OPS]
-        self.escapes = [i for i in instrs if i.op in ("storep", "call", "ret")]
-        self.ptr_cmps = [i for i in instrs if i.op in ("ptrcmp", "ptrsub")]
-        self.ptr_defs = [i.dest for i in instrs if i.dest is not None
-                         and info.types.get(i.dest) == "ptr"]
-        self._blocks = {id(i): b for b in fn.blocks for i in b.instrs
-                        if i.dest is not None}      # id(def) -> its block
+        # What the passes below read, in program order, from validation.
+        # They insert only value definitions, so these lists stay complete.
+        self.accesses = info.groups["access"]
+        self.escapes = info.groups["escape"]
+        self.ptr_cmps = info.groups["ptr_cmp"]
+        self.ptr_defs = [v for v in info.where if info.types[v] == "ptr"]
 
     # ------------------------------------------------------------- plumbing
 
@@ -235,8 +232,9 @@ class _FnInstrumenter:
         return name
 
     def _insert_after(self, anchor: Instr, new: Instr) -> None:
-        block = self._blocks[id(anchor)]
-        self._insert(block, block.instrs.index(anchor) + 1, new)
+        label, at = self.info.where[anchor.dest]
+        block = self.fn.block(label)
+        self._insert(block, block.instrs.index(anchor, at) + 1, new)
 
     def _insert_at_phi_head(self, block: Block, new: Instr) -> None:
         idx = 0
@@ -247,7 +245,7 @@ class _FnInstrumenter:
     def _insert(self, block: Block, idx: int, new: Instr) -> None:
         block.instrs.insert(idx, new)
         self.info.defs[new.dest] = new
-        self._blocks[id(new)] = block
+        self.info.where[new.dest] = block.label, idx
 
     # ------------------------------------------------------------------ KSA
 
@@ -293,7 +291,7 @@ class _FnInstrumenter:
         name = memo[v] = self._fresh(v + suffix)   # breaks cycles
         new = Instr(d.op, name, line=line)
         if d.op == "phi":
-            self._insert_at_phi_head(self._blocks[id(d)], new)
+            self._insert_at_phi_head(self.fn.block(self.info.where[v][0]), new)
             incomings = []
             for op, lbl in d.incomings:
                 incomings.append(((yield recurse(op)), lbl))
@@ -429,7 +427,7 @@ class _FnInstrumenter:
         base = yield self._reset(d.operands[0])
         name = self.reset_map[v] = self._fresh(v + ".m")
         self._insert_after(d, Instr("gep", name, [base], None, d.gep_const,
-                                    list(d.gep_terms)))
+                                    d.gep_terms))
         return name
 
     def reset_metadata(self) -> None:
@@ -473,27 +471,20 @@ def _maybe_drop_lower(site: CheckSite) -> None:
 
 
 def opt_combine(iprog: InstrumentedProgram) -> None:
+    # A site covers only sites of its own function, KSA and variable part,
+    # and only a site with a window covers or is covered.  Access sites are
+    # made in program order, so each group is in program order.
     groups: dict = {}
     for site in iprog.sites:
-        if site.kind != "Access" or not site.executes:
+        if site.kind != "Access" or not site.executes or site.window is None:
             continue
-        groups.setdefault((site.fn, site.ksa), []).append(site)
-    for (fn, _ksa), group in groups.items():
-        if len(group) < 2:
-            continue
+        groups.setdefault((site.fn, site.ksa, site.var_key), []).append(site)
+    for (fn, _ksa, _var), group in groups.items():
         cfg = iprog.infos[fn].cfg
-        order = {label: i for i, label in
-                 enumerate(b.label for b in cfg.fn.blocks)}
-        group.sort(key=lambda s: (order[cfg.position(s.instr)[0]],
-                                  cfg.position(s.instr)[1]))
         # Only `later` changes status, so each site still executes here.
         for j, later in enumerate(group):
-            if later.window is None:
-                continue
             for earlier in group[:j]:
-                if not earlier.executes or earlier.window is None:
-                    continue
-                if earlier.var_key != later.var_key:
+                if not earlier.executes:
                     continue
                 if not cfg.dominates(earlier.instr, later.instr):
                     continue
@@ -588,11 +579,13 @@ def opt_loop_hoist(iprog: InstrumentedProgram) -> None:
             candidates.setdefault(key, []).append(site)
     for fn_name, info in iprog.infos.items():
         cfg = info.cfg
+        if not cfg.loops:
+            continue
+        enders = {b.label for b in cfg.fn.blocks if _ends_run(b.instrs)}
         for loop in cfg.loops:
             if loop.preheader is None \
                     or not _leaves_only_from_header(cfg, loop) \
-                    or _ends_run(i for label in loop.body
-                                 for i in cfg.fn.block(label).instrs):
+                    or not enders.isdisjoint(loop.body):
                 continue
             ind = _induction_of(cfg, info, loop)
             if ind is None:

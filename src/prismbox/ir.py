@@ -108,20 +108,21 @@ class Instr:
     operands: list = field(default_factory=list)      # value names or int literals
     size: int | None = None                           # access/alloc byte count
     gep_const: int = 0
-    gep_terms: list = field(default_factory=list)     # [(index value, scale)]
-    incomings: list = field(default_factory=list)     # [(value, block label)]
-    labels: list = field(default_factory=list)
+    # Most instructions leave these empty, so they share one `()`; no pass
+    # changes them in place.
+    gep_terms: list | tuple = ()                      # [(index value, scale)]
+    incomings: list | tuple = ()                      # [(value, block label)]
+    labels: list | tuple = ()
     callee: str | None = None
     cmp: str | None = None
     line: int = 0
 
     def values_read(self) -> list:     # may be self.operands, not a copy
-        vals = self.operands
         if self.gep_terms:
-            vals = vals + [idx for idx, _ in self.gep_terms]
+            return [*self.operands, *(idx for idx, _ in self.gep_terms)]
         if self.incomings:
-            vals = vals + [v for v, _ in self.incomings]
-        return vals
+            return [*self.operands, *(v for v, _ in self.incomings)]
+        return self.operands
 
 
 @dataclass
@@ -155,9 +156,6 @@ class Function:
         if len(self._blockmap) != len(self.blocks):
             self._blockmap = {b.label: b for b in self.blocks}
         return self._blockmap
-
-    def instructions(self) -> list[Instr]:
-        return [instr for block in self.blocks for instr in block.instrs]
 
 
 @dataclass
@@ -209,7 +207,7 @@ _HAND = {
     "gep": (rf"{_V}((?:,\s*(?:{_NAME}\s*\*\s*-?\d+|-?\d+)\s*)*)",
             {"operands": "v[m[2]]",
              "gep": "sum(map(int, _GEP_CONSTS(m[3]))), "
-                    "[(v[a], int(b)) for a, b in _GEP_TERMS(m[3])]"}),
+                    "[(v[a], int(b)) for a, b in _GEP_TERMS(m[3])] or ()"}),
     "phi": (rf"({_INCOMING}(?:,{_INCOMING})*)",
             {"incomings": "[(v[a], b) for a, b in _INCOMINGS(m[2])]"}),
     "call": (rf"\s*@({_IDENT})\s*\(\s*((?:{_ARGS})?)\)",
@@ -234,7 +232,7 @@ class _Rules(dict):
         spec, g = OPS[op], 1 + (op not in VALUELESS)    # g: 1st operand group
         body, fields = _HAND.get(op, ("", {}))
         f = {"dest": "m[1]" if g == 2 else None, "operands": "",
-             "size": spec.size, "gep": "0, []", "incomings": "[]",
+             "size": spec.size, "gep": "0, ()", "incomings": "()",
              "labels": "", "callee": None, "cmp": None, **fields}
         for i, (_role, kind) in enumerate(() if fields else spec.operands):
             ref, piece, sep = f"m[{g + i}]", _KIND.get(kind, _V), "," * (i > 0)
@@ -253,7 +251,7 @@ class _Rules(dict):
                                    else f"{op}(?: {body})?")
         rule = self[op] = re.compile(text).fullmatch, eval(
             "lambda m, n, v: Instr({op!r}, {dest}, [{operands}], {size}, "
-            "{gep}, {incomings}, [{labels}], {callee}, {cmp}, n)"
+            "{gep}, {incomings}, ({labels}), {callee}, {cmp}, n)"
             .format(op=op, **f), globals())
         return rule
 
@@ -268,6 +266,11 @@ class _Values(dict):
         value = self[tok] = (tok[1:] if tok[0] == "%" else 0 if tok == "null"
                              else int(tok, 16 if "x" in tok else 10))
         return value
+
+
+def _too_long(line: int) -> ParseError:
+    """The error for a literal that int() refuses: over 4300 digits."""
+    return ParseError("integer literal has too many digits", line)
 
 
 def _split_args(text: str, what: str, line: int) -> list[str]:
@@ -308,8 +311,11 @@ def parse(text: str) -> Program:
         if fn is None:
             m = _RE_GLOBAL.match(line)
             if m:
-                program.globals.append(
-                    Global(m[1][1:], int(m[2]), m[3] == "true"))
+                try:
+                    size = int(m[2])
+                except ValueError:
+                    raise _too_long(lineno) from None
+                program.globals.append(Global(m[1][1:], size, m[3] == "true"))
                 continue
             m = _RE_EXTERN.match(line)
             if m:
@@ -350,7 +356,10 @@ def parse(text: str) -> Program:
         head = line.partition("=")[2].lstrip() if line[0] == "%" else line
         match, build = rules[head.partition(" ")[0]]
         m = match(line) or _diagnose(line, lineno)
-        block.instrs.append(build(m, lineno, values))
+        try:
+            block.instrs.append(build(m, lineno, values))
+        except ValueError:
+            raise _too_long(lineno) from None
     if fn is not None:
         raise ParseError(f"unterminated function @{fn.name}", lineno)
     return program

@@ -1,20 +1,42 @@
-"""Program validation: SSA discipline, dominance and typing."""
+"""Program validation: SSA discipline, dominance and typing.
+
+Each function's `FunctionInfo` hands instrumentation what validation found:
+each value's definition, type and (block, index), the CFG, and the accesses,
+escapes and pointer comparisons in program order (`GROUPS`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .analysis import CfgInfo
 from .ir import OPS, TERMINATORS, Function, Instr, Program
 
 
+# The groups of each op that instrumentation reads: an access is checked, an
+# escape (a pointer stored, passed or returned) too, and a pointer
+# comparison has its operands masked.
+GROUPS = {"load": ("access",), "loadp": ("access",), "store": ("access",),
+          "storep": ("access", "escape"), "call": ("escape",),
+          "ret": ("escape",), "ptrcmp": ("ptr_cmp",), "ptrsub": ("ptr_cmp",)}
+
+
 @dataclass
 class FunctionInfo:
+    """What validation finds in one function, in one pass over it."""
     fn: Function
-    cfg: CfgInfo
+    cfg: CfgInfo | None = None                       # once structure is sound
     types: dict = field(default_factory=dict)        # value -> 'int'|'ptr'
     defs: dict = field(default_factory=dict)         # value -> Instr | 'param'
+    # instruction-defined value -> (block label, index), in program order;
+    # an index only grows as instrumentation inserts before it.
+    where: dict = field(default_factory=dict)
+    groups: dict = field(default_factory=lambda: {
+        "access": [], "escape": [], "ptr_cmp": []})  # GROUPS name -> [Instr]
+    inferred: list = field(default_factory=list)     # defs typed from others
+    rets: list = field(default_factory=list)         # returned operands
+    late: list = field(default_factory=list)         # unknown names, after
+                                                     # entry's diagnostics
 
 
 class ValidationError(Exception):
@@ -29,16 +51,6 @@ def validate(program: Program) -> list[str]:
     return diagnostics
 
 
-class _Facts(NamedTuple):
-    """What one pass over a function's instructions finds."""
-    defs: dict          # value -> Instr | 'param'
-    where: dict         # instruction-defined value -> (block label, index)
-    types: dict         # value -> its type after the first typing pass
-    inferred: list      # defs typed from other values (phi, select, ...)
-    rets: list          # returned operands
-    late: list          # unknown-name diagnostics, reported after entry's
-
-
 def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     # Structural errors come first and alone: without one definition per
     # value and known branch targets, neither a CFG nor the types exist.
@@ -48,7 +60,7 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
     known = {"gaddr": ({g.name for g in program.globals}, "unknown global"),
              "call": (program.functions, "call to unknown function"),
              "extern": (program.externs, "undeclared extern")}
-    facts = {fn.name: _collect(fn, program, known, ret_types, diags)
+    infos = {fn.name: _collect(fn, program, known, ret_types, diags)
              for fn in program.functions.values()}
     if diags:
         return {}, diags
@@ -62,28 +74,25 @@ def analyze(program: Program) -> tuple[dict[str, FunctionInfo], list[str]]:
                 diags.append(
                     f"entry parameter %{name} must be int (got {ty})")
 
-    infos = {}
     for fn in program.functions.values():
-        f = facts[fn.name]
-        diags += f.late
-        cfg = CfgInfo(fn)
+        info = infos[fn.name]
+        diags += info.late
+        info.cfg = cfg = CfgInfo(fn)
         for block in fn.blocks:
             if block.label not in cfg.reachable:
                 diags.append(f"@{fn.name} ^{block.label}: unreachable block")
-        infos[fn.name] = FunctionInfo(fn=fn, cfg=cfg, types=f.types,
-                                      defs=f.defs)
-    _infer_types(program, facts, ret_types)
+    _infer_types(program, infos, ret_types)
     for info in infos.values():
-        _check_uses(info, facts[info.fn.name].where, program, diags)
+        _check_uses(info, program, diags)
     return infos, diags
 
 
 def _collect(fn: Function, program: Program, known: dict, ret_types: dict,
-             diags: list[str]) -> _Facts:
+             diags: list[str]) -> FunctionInfo:
     """Visit each instruction once: find each value's definition and site,
     diagnose structural errors, and type values in program order."""
-    f = _Facts({}, {}, {}, [], [], [])
-    defs, where, types = f.defs, f.where, f.types
+    f = FunctionInfo(fn)
+    defs, where, types, groups = f.defs, f.where, f.types, f.groups
     for name, ty in fn.params:
         if name in defs:
             diags.append(f"@{fn.name}: duplicate parameter %{name}")
@@ -131,6 +140,8 @@ def _collect(fn: Function, program: Program, known: dict, ret_types: dict,
                     types[dest] = ty
             elif op == "ret" and instr.operands:
                 f.rets.append(instr.operands[0])
+            for name in GROUPS.get(op, ()):
+                groups[name].append(instr)
             if op in known and instr.callee not in known[op][0]:
                 f.late.append(f"@{fn.name}: {known[op][1]} @{instr.callee} "
                               f"(line {instr.line})")
@@ -156,14 +167,14 @@ def _result_type(instr: Instr, types: dict, ret_types: dict,
     return "ptr" if program.externs.get(instr.callee) == "alloc" else "int"
 
 
-def _infer_types(program: Program, facts: dict[str, _Facts],
+def _infer_types(program: Program, infos: dict[str, FunctionInfo],
                  ret_types: dict) -> None:
     # After `_collect`'s pass, only the types taken from other values (phi,
     # select, call, extern) and the return types can change.
     changed = True
     while changed:
         changed = False
-        for name, f in facts.items():
+        for name, f in infos.items():
             types = f.types
             for instr in f.inferred:
                 ty = _result_type(instr, types, ret_types, program)
@@ -172,12 +183,12 @@ def _infer_types(program: Program, facts: dict[str, _Facts],
                     changed = True
             changed |= _note_ret_type(name, f, ret_types)
     # Anything still untyped defaults to int (e.g. a phi of literals only).
-    for f in facts.values():
+    for f in infos.values():
         for instr in f.inferred:
             f.types.setdefault(instr.dest, "int")
 
 
-def _note_ret_type(name: str, f: _Facts, ret_types: dict) -> bool:
+def _note_ret_type(name: str, f: FunctionInfo, ret_types: dict) -> bool:
     """Record a function's return type; say whether it changed."""
     rt = None
     for v in f.rets:
@@ -199,15 +210,17 @@ def _expect(info: FunctionInfo, instr: Instr, v, want: str,
                          f"{want}, got {ty} (line {instr.line})")
 
 
-def _check_uses(info: FunctionInfo, where: dict, program: Program,
+def _check_uses(info: FunctionInfo, program: Program,
                 diags: list[str]) -> None:
     """Diagnose undefined, undominated and ill-typed uses.  A definition at
     `where` (a, j) dominates a use at (b, i) if a == b and j < i, or if
-    block a dominates block b."""
+    block a dominates block b: b's preorder number lies in a's interval."""
     fn, cfg, defs, types = info.fn, info.cfg, info.defs, info.types
+    where, dom = info.where, cfg.dom
     for block in fn.blocks:
         label = block.label
         reachable = label in cfg.reachable
+        pre = dom[label][0] if reachable else None
         for idx, instr in enumerate(block.instrs):
             op = instr.op
             values = instr.values_read()
@@ -220,7 +233,7 @@ def _check_uses(info: FunctionInfo, where: dict, program: Program,
                                      f"%{v} (line {instr.line})")
                 elif reachable and op != "phi" and not (
                         site[1] < idx if site[0] == label
-                        else cfg.block_dominates(site[0], label)):
+                        else pre in range(*dom.get(site[0], (0, 0)))):
                     undominated = (undominated or []) + [v]
             if not reachable:
                 continue

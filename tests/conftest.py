@@ -177,6 +177,11 @@ def instrument_text(text: str, kind: str = "prism", q: int = 0,
     return instrument(parse(text), Mode(kind, q), opts)
 
 
+def instructions(fn) -> list:
+    """`fn`'s instructions in program order."""
+    return [instr for block in fn.blocks for instr in block.instrs]
+
+
 class ChecksVmError(VM):
     """A VM whose `checks` runs raise a VmError.  Set as `prismbox.oracle.VM`,
     where `differential_on` builds its two VMs, it plants a disagreement."""

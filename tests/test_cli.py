@@ -53,6 +53,19 @@ class TestRun:
         assert main(["run", path]) == 4
         assert "error" in capsys.readouterr().err
 
+    # A literal of more than 4300 digits, which int() refuses, in each place
+    # the parser converts a decimal token.
+    @pytest.mark.parametrize("text", [
+        "fn @main() {\n^entry:\n  %a = add 1, N\n  ret %a\n}\n",
+        "global @g size=N escapes=false\nfn @main() {\n^entry:\n  ret 0\n}\n",
+        "fn @main() {\n^entry:\n  %a = stackalloc N\n  ret 0\n}\n",
+    ], ids=["value", "global_size", "stackalloc_size"])
+    def test_giant_literal_exit_4(self, pir, capsys, text):
+        path = pir("big.pir", text.replace("N", "9" * 5000))
+        assert main(["run", path]) == 4
+        err = capsys.readouterr().err
+        assert "too many digits" in err and "Traceback" not in err
+
     def test_validation_error_exit_4(self, pir):
         path = pir("bad.pir",
                     "fn @main() {\n^entry:\n  %y = add %x, 1\n  ret %y\n}\n")

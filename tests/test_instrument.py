@@ -7,10 +7,12 @@ from conftest import (
     corpus_expectations,
     corpus_text,
     deep_program,
+    instructions,
     instrument_text,
 )
 import prismbox
 from prismbox import fuzz
+from prismbox.analysis import CfgInfo
 from prismbox.instrument import (
     ACTIVE,
     ALL_OPTS,
@@ -19,7 +21,9 @@ from prismbox.instrument import (
     ELIDED_Q,
     EXECUTING,
     LOWER_DROPPED,
+    CheckSite,
     instrument,
+    opt_combine,
 )
 from prismbox.ir import parse, print_program
 from prismbox.oracle import differential_on
@@ -69,7 +73,7 @@ fn @main() {
         assert len(ksas) == 1
         mirror = ksas.pop()
         walk = iprog.program.functions["walk"]
-        defs = {i.dest: i for i in walk.instructions() if i.dest}
+        defs = {i.dest: i for i in instructions(walk) if i.dest}
         assert defs[mirror].op == "phi"
 
     def test_ksa_map_idempotent(self):
@@ -208,7 +212,7 @@ fn @main() {
   ret %s
 }
 """, opts=())
-        masks = [i for i in iprog.program.functions["main"].instructions()
+        masks = [i for i in instructions(iprog.program.functions["main"])
                  if i.op == "mask"]
         assert len(masks) == 1
 
@@ -221,7 +225,7 @@ fn @main() {
   ret %v
 }
 """, opts=())
-        (load,) = [i for i in iprog.program.functions["main"].instructions()
+        (load,) = [i for i in instructions(iprog.program.functions["main"])
                    if i.op == "load"]
         assert load.operands[0].endswith(".m")
 
@@ -235,7 +239,7 @@ fn @main() {
   ret %c
 }
 """, opts=())
-        (cmp_i,) = [i for i in iprog.program.functions["main"].instructions()
+        (cmp_i,) = [i for i in instructions(iprog.program.functions["main"])
                     if i.op == "ptrcmp"]
         assert all(isinstance(v, str) and v.endswith(".m")
                    for v in cmp_i.operands)
@@ -292,7 +296,7 @@ fn @main(%x: int) {
   ret %c
 }
 """, opts=())
-        (cmp_i,) = [i for i in iprog.program.functions["main"].instructions()
+        (cmp_i,) = [i for i in instructions(iprog.program.functions["main"])
                     if i.op == "icmp"]
         assert cmp_i.operands == ["x", 4]
 
@@ -611,6 +615,37 @@ fn @main(%i: int, %n: int) {
         assert widened.window == (0, 16)
         assert [s.status for s in sites(iprog, kind="Access")
                 if s is not widened] == [ELIDED_COMBINE]
+
+    def test_scan_pairs_sites_only_within_a_variable_part(self, monkeypatch):
+        # One KSA, n constant and n variable windows, interleaved; none
+        # covers a later one, and an alloc between each pair stops widening.
+        n = 20
+        body = "".join(f"  %c{k} = gep %a, {8 * k}\n  %x{k} = load %c{k}, 8\n"
+                       f"  %v{k} = gep %a, %i*8, {8 * k}\n"
+                       f"  %y{k} = load %v{k}, 8\n  %k{k} = alloc 8\n"
+                       for k in range(n))
+        iprog = instrument_text("fn @main(%i: int) {\n^entry:\n"
+                                f"  %a = alloc 4096\n{body}  ret 0\n}}\n",
+                                opts=())
+        calls = {"dominates": 0, "executes": 0}
+        dominates = CfgInfo.dominates
+
+        def counting_dominates(cfg, a, b):
+            calls["dominates"] += 1
+            return dominates(cfg, a, b)
+
+        def counting_executes(site):
+            calls["executes"] += 1
+            return site.status in EXECUTING
+
+        monkeypatch.setattr(CfgInfo, "dominates", counting_dominates)
+        monkeypatch.setattr(CheckSite, "executes", property(counting_executes))
+        opt_combine(iprog)
+        assert {s.status for s in iprog.sites} == {ACTIVE}
+        # n choose 2 pairs in each of the two groups; a scan of the whole
+        # KSA would look at 2n choose 2 = 780.
+        assert calls["dominates"] == n * (n - 1)
+        assert calls["executes"] <= 2 * n + n * (n - 1)
 
 
 HOIST_PROGRAM = """

@@ -3,7 +3,8 @@
 import pytest
 
 from conftest import (ENTRY_PHI_PIR, REPEATED_PRED_PHI_PIR,
-                      STRUCTURAL_DEFECTS, corpus_text, python_isolated)
+                      STRUCTURAL_DEFECTS, corpus_text, instructions,
+                      python_isolated)
 from prismbox import fuzz
 from prismbox.ir import (Block, Function, Instr, ParseError, parse,
                          print_program)
@@ -32,7 +33,7 @@ def test_print_parse_fixpoint_generated(seed):
 def test_linked_list_shape():
     program = parse(corpus_text("linked_list.pir"))
     walk = program.functions["walk"]
-    accesses = [i for i in walk.instructions()
+    accesses = [i for i in instructions(walk)
                 if i.op in ("load", "loadp", "store", "storep")]
     assert len(accesses) == 3
     assert len(walk.blocks) == 4  # entry, loop header, body, exit
