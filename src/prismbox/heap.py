@@ -27,13 +27,16 @@ highest region used so far and not over a popped frame.
 Allocation is cheap on purpose, since it is where the metadata is paid
 for.  A `SimMemory` picks its mode's allocator once (`_ALLOCATORS`), so
 `alloc` is a range check and one call; a bump allocator maps only the
-pages past the last one it mapped.
+pages past the last one it mapped.  A read of 1, 2, 4 or 8 bytes within a
+page, or a write of them to a page written before (an SA among them), goes
+through that size's precompiled `struct` codec (`CODECS`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from struct import Struct
 
 from .tagging import (
     ADDR_MASK,
@@ -48,6 +51,9 @@ PAGE = 1 << 16
 LOW_GUARD = 1 << 22                 # first 4MB is never mapped
 MAX_ALLOC = (1 << 32) - (1 << 16)   # 4GB - 64KB
 ZERO_PAGE = bytes(PAGE)
+# Each access size's precompiled little-endian codec, (unpack_from, pack_into).
+CODECS = {s.size: (s.unpack_from, s.pack_into)
+          for s in map(Struct, ("<B", "<H", "<I", "<Q"))}
 
 SMALL_BASE = 1 << 32
 LARGE_BASE = 1 << 33
@@ -208,13 +214,14 @@ class SimMemory:
         """The little-endian integer of `size` bytes at addr."""
         off = addr & (PAGE - 1)
         page = self.pages.get(addr - off)
-        if page is not None and off + size <= PAGE:
-            return int.from_bytes(page[off:off + size], "little")
+        if page is not None and off + size <= PAGE and size in CODECS:
+            return CODECS[size][0](page, off)[0]
         return int.from_bytes(self.read(addr, size), "little")
 
     def write_int(self, addr: int, size: int, value: int) -> None:
         """Store the low `size` bytes of value at addr, little-endian.  Its
-        callers first try the page fast path, as `_record` does."""
+        callers first try the page fast path, a `CODECS` pack_into where the
+        size has one, as `_record` does."""
         self.write(addr, (value & ((1 << (size << 3)) - 1)).to_bytes(
             size, "little"))
 
@@ -355,7 +362,7 @@ class SimMemory:
             off = at & (PAGE - 1)
             page = self.pages.get(at - off)
             if isinstance(page, bytearray) and off <= PAGE - 8:
-                page[off:off + 8] = sa.to_bytes(8, "little")
+                CODECS[8][1](page, off, sa)
             else:
                 self.write_int(at, 8, sa)
         return tagged

@@ -28,8 +28,10 @@ call, else the block alone.  A block that holds a call, and every block of
 a traced run, stays interpreted.  A region loops over its blocks with the
 label in a local, keeps the values it defines in locals, and writes one to
 the frame only before a handler or slow path that reads it, and on leaving
-only if a block outside the region reads it (any block, where it hands a
-block back to the interpreter).  It inlines step text, branches and ret.
+only if a block outside the region reads it (where it hands block `to` back
+to the interpreter, if `to` reads it before setting it).  It inlines step
+text, branches and ret.  Step text accesses 1, 2, 4 or 8 bytes within a
+page as SimMemory does, through that size's `struct` codec (`CODECS`).
 A `checks` site tests `checks.fast_pass` on `_window`'s window (an Escape
 site first skips a phi or select equal to its KSA, as `escape_check` does)
 and calls `VM._check_access` or `VM._check_escape` only where that fails.
@@ -62,8 +64,8 @@ from typing import NamedTuple
 
 from .checks import (CheckOutcome, CheckStats, Reason, access_check,
                      escape_check, fast_pass)
-from .heap import (IN_BOUNDS, INVALID_ESCAPE, PAGE, AllocError, FreeError,
-                   SimFault, SimMemory, classify)
+from .heap import (CODECS, IN_BOUNDS, INVALID_ESCAPE, PAGE, AllocError,
+                   FreeError, SimFault, SimMemory, classify)
 from .instrument import (EXECUTING, LOWER_DROPPED, CheckSite,
                          InstrumentedProgram)
 from .ir import OPS, Instr
@@ -188,7 +190,8 @@ class _FunctionPlans(dict):
                 if checks or exact else None
             handler = handlers[instr.op]
             if type(handler) is _Shapes:
-                handler = handler[instr.cmp or len(instr.gep_terms)]
+                handler = handler[instr.cmp or instr.size
+                                  or len(instr.gep_terms)]
             steps.append((instr, handler, sites))
         plan = self[label] = (tuple(phis), steps)
         return plan
@@ -209,7 +212,7 @@ class _FunctionPlans(dict):
                            if b in region and b != label and not calls]
         length = {b: len(self[b][0]) + len(self[b][1]) for b in order}
         mask, m64, fresh = f"{self.mode.mask:#x}", f"{MASK64:#x}", count()
-        ns = {"_Return": _Return, "from_bytes": int.from_bytes}
+        ns = dict(_NAMES)
         # Each value the region defines has a local; one it computes inline
         # (kept, with its block) reaches the frame only where spilled.
         names, kept, head, entry, body = {}, {}, [], [], []
@@ -237,28 +240,33 @@ class _FunctionPlans(dict):
             return [", ".join(names[d] for d, _ in phis) + " = " + ", ".join(
                 source(inc[pred]) for _, inc in phis)] if phis else []
 
-        # The values the interpreter may read once the region returns: those
-        # the blocks outside it read after an exit, and those any block reads
-        # after a hand-back.  Instructions and this backend's sites read.
+        def used(instr, sites):     # what a step and its sites read
+            return (*instr.values_read(), *(s.ksa for s in sites),
+                    *(s.escape_value for s in sites))
+
+        # The values the interpreter may read after an exit: those the blocks
+        # outside the region read, with this backend's sites.  An edge into
+        # the region from outside copies its phis from the frame.
         site_table = self.site_tables[which]
-        outside, anywhere = set(), set()
-        for b, block in self.blocks.items():
-            for instr in block.instrs:
-                sites = site_table.get(id(instr), ())
-                used = (*instr.values_read(), *(s.ksa for s in sites),
-                        *(s.escape_value for s in sites))
-                anywhere.update(used)
-                if b not in order:
-                    outside.update(used)
-        # An edge into the region from outside copies its phis from the frame.
+        outside = {v for b, block in self.blocks.items() if b not in order
+                   for instr in block.instrs
+                   for v in used(instr, site_table.get(id(instr), ()))}
         outside.update(v for _, incoming in self[label][0]
                        for pred, v in incoming.items() if pred not in order)
 
         def leave(b, to):
             # Leave by the edge b -> to, with the values defined on the way
             # there that are read later in the frame (`i` is set at the
-            # terminator), or copy to's phis and go on.
-            later = anywhere if to in order else outside
+            # terminator), or copy to's phis and go on.  Handed block `to`,
+            # the interpreter crosses the step limit in it or ends the run
+            # before, so it reads only to's phis' values from b and what its
+            # steps and their sites read before `to` sets it.
+            later, (phis, steps) = outside, self[to]
+            if to in order:
+                later = {inc[b] for _, inc in phis} | {
+                    v for instr, _, sites in steps
+                    for v in used(instr, sites[which] if sites else ())} - {
+                    instr.dest for instr in self.blocks[to].instrs}
             back = spill(v for v, d in kept.items() if v in later
                          and cfg.block_dominates(d, b)) + [
                 f"return {b!r}, {to!r}"]
@@ -397,20 +405,21 @@ def _step_source(instr, read, mask: str, dest: str, size) -> list:
     """Python source lines of step `instr` (an op in _STEPS), each operand
     as `read` gives it: its value set to `dest`, or its access of `size`
     bytes, whose address the first line strips into `a`.  The text takes
-    `from_bytes` and the names _SCOPE sets from its scope."""
+    _NAMES and the names _SCOPE sets from its scope."""
     # None pads the operands of a one-operand op.
     op, (x, y, *z) = instr.op, [*map(read, instr.operands), None]
     if op in _MEMORY:
-        # SimMemory.read_int's and write_int's page fast path, inline.
-        fits = f"o <= {PAGE} - {size}"
+        # SimMemory's page fast path, inline, with the size's codec if any.
+        fits, low = f"o <= {PAGE - size}", f"{(1 << 8 * size) - 1:#x}"
         head = [f"a = {x} & {mask}", "o = a & 0xFFFF", "g = get(a - o)"]
         if op[0] == "l":
-            return head + [f"{dest} = from_bytes(g[o:o + {size}], 'little') "
-                           f"if g is not None and {fits} else "
-                           f"mem.read_int(a, {size})"]
-        return head + [f"if isinstance(g, bytearray) and {fits}:",
-                       f"    g[o:o + {size}] = ({y} & (1 << 8 * {size}) - 1)"
-                       f".to_bytes({size}, 'little')",
+            get = (f"U{size}(g, o)[0]" if size in CODECS
+                   else f"from_bytes(g[o:o + {size}], 'little')")
+            return head + [f"{dest} = {get} if g is not None and {fits} "
+                           f"else mem.read_int(a, {size})"]
+        put = (f"P{size}(g, o, {y} & {low})" if size in CODECS else
+               f"g[o:o + {size}] = ({y} & {low}).to_bytes({size}, 'little')")
+        return head + [f"if isinstance(g, bytearray) and {fits}: {put}",
                        f"else: mem.write_int(a, {size}, {y})"]
     if op == "alloc":       # its size is signed
         value = f"alloc({x} - {1 << 64:#x} if {x} >> 63 else {x})"
@@ -432,10 +441,10 @@ def _step_source(instr, read, mask: str, dest: str, size) -> list:
     return [f"{dest} = {value}"]
 
 
-def _handler(op: str, mask: str, shape=None):
-    """The interpreter's handler for `op` of `shape` (a gep's term count or a
-    comparison) at address mask `mask`: its step text, reading operands, gep
-    constants and access size from the instruction."""
+def _handler(op: str, mask: str, shape):
+    """The interpreter's handler for `op` of `shape` (a gep's term count, a
+    comparison or an access size) at address mask `mask`: its step text,
+    reading operands and gep constants from the instruction."""
     xs = [f"x{n}" for n in range(len(OPS[op].values))]
     terms = [(f"t{n}", f"k{n}") for n in range(shape)] if op == "gep" else []
     lines = ["def handler(vm, instr, env):",
@@ -444,11 +453,11 @@ def _handler(op: str, mask: str, shape=None):
         lines.append("c, (" + "".join(f"({t}, {k}), " for t, k in terms)
                      + ") = instr.gep_const, instr.gep_terms")
     elif op in _MEMORY or op == "alloc":
-        lines += ["n = instr.size", *_SCOPE]
+        lines += _SCOPE
     model = Instr(op, operands=xs, gep_const="c", gep_terms=terms, cmp=shape)
-    ns = {"from_bytes": int.from_bytes}
+    ns = dict(_NAMES)
     exec(compile("\n    ".join(lines + _step_source(
-        model, "env[{}]".format, mask, "env[instr.dest]", "n")),
+        model, "env[{}]".format, mask, "env[instr.dest]", shape)),
         f"<{op} handler>", "exec"), ns)
     return ns["handler"]
 
@@ -754,6 +763,9 @@ _PURE = _STEPS - {*_MEMORY, "alloc"}
 _SCOPE = ("mem = vm.mem", "get = mem.pages.get", "alloc = mem.alloc")
 _PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
            "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
+# The globals of step text: U<size> and P<size> are an access size's codec.
+_NAMES = {"_Return": _Return, "from_bytes": int.from_bytes, **{
+    f"{c}{size}": f for size, pair in CODECS.items() for c, f in zip("UP", pair)}}
 
 
 class _Shapes(dict):
@@ -770,10 +782,6 @@ class _Shapes(dict):
 @cache
 def _table(mask: int) -> dict:
     """The handlers by op of every plan of a mode with address mask `mask`:
-    HANDLERS and those of _STEPS, with gep, icmp and ptrcmp by shape,
-    `instr.cmp or len(instr.gep_terms)`."""
-    table = dict(HANDLERS)
-    for op in _STEPS:
-        table[op] = (_Shapes if op in ("gep", "icmp", "ptrcmp")
-                     else _handler)(op, f"{mask:#x}")
-    return table
+    HANDLERS and those of _STEPS by shape, `instr.cmp or instr.size or
+    len(instr.gep_terms)`."""
+    return {**HANDLERS, **{op: _Shapes(op, f"{mask:#x}") for op in _STEPS}}
