@@ -254,19 +254,19 @@ class _FunctionPlans(dict):
         outside.update(v for _, incoming in self[label][0]
                        for pred, v in incoming.items() if pred not in order)
 
+        # What each region block's steps and sites read before it sets it.
+        reads = {b: {v for instr, _, sites in self[b][1]
+                     for v in used(instr, sites[which] if sites else ())}
+                 - {instr.dest for instr in self.blocks[b].instrs}
+                 for b in order}
+
         def leave(b, to):
             # Leave by the edge b -> to, with the values defined on the way
             # there that are read later in the frame (`i` is set at the
-            # terminator), or copy to's phis and go on.  Handed block `to`,
-            # the interpreter crosses the step limit in it or ends the run
-            # before, so it reads only to's phis' values from b and what its
-            # steps and their sites read before `to` sets it.
-            later, (phis, steps) = outside, self[to]
-            if to in order:
-                later = {inc[b] for _, inc in phis} | {
-                    v for instr, _, sites in steps
-                    for v in used(instr, sites[which] if sites else ())} - {
-                    instr.dest for instr in self.blocks[to].instrs}
+            # terminator), or copy to's phis and go on.  A run handed `to`
+            # ends in it, so reads only to's phis' values from b and reads[to].
+            later = outside if to not in order else reads[to] | {
+                inc[b] for _, inc in self[to][0]}
             back = spill(v for v, d in kept.items() if v in later
                          and cfg.block_dominates(d, b)) + [
                 f"return {b!r}, {to!r}"]
@@ -409,17 +409,17 @@ def _step_source(instr, read, mask: str, dest: str, size) -> list:
     # None pads the operands of a one-operand op.
     op, (x, y, *z) = instr.op, [*map(read, instr.operands), None]
     if op in _MEMORY:
-        # SimMemory's page fast path, inline, with the size's codec if any.
-        fits, low = f"o <= {PAGE - size}", f"{(1 << 8 * size) - 1:#x}"
-        head = [f"a = {x} & {mask}", "o = a & 0xFFFF", "g = get(a - o)"]
+        head, fits = [f"a = {x} & {mask}"], f"o <= {PAGE - size}"
+        if size not in CODECS:      # SimMemory's slow path alone
+            return head + [f"{dest} = mem.read_int(a, {size})" if op[0] == "l"
+                           else f"mem.write_int(a, {size}, {y})"]
+        # SimMemory's page fast path, inline, with the size's codec.
+        head += ["o = a & 0xFFFF", "g = get(a - o)"]
         if op[0] == "l":
-            get = (f"U{size}(g, o)[0]" if size in CODECS
-                   else f"from_bytes(g[o:o + {size}], 'little')")
-            return head + [f"{dest} = {get} if g is not None and {fits} "
-                           f"else mem.read_int(a, {size})"]
-        put = (f"P{size}(g, o, {y} & {low})" if size in CODECS else
-               f"g[o:o + {size}] = ({y} & {low}).to_bytes({size}, 'little')")
-        return head + [f"if isinstance(g, bytearray) and {fits}: {put}",
+            return head + [f"{dest} = U{size}(g, o)[0] if g is not None and "
+                           f"{fits} else mem.read_int(a, {size})"]
+        return head + [f"if isinstance(g, bytearray) and {fits}: P{size}(g, "
+                       f"o, {y} & {(1 << 8 * size) - 1:#x})",
                        f"else: mem.write_int(a, {size}, {y})"]
     if op == "alloc":       # its size is signed
         value = f"alloc({x} - {1 << 64:#x} if {x} >> 63 else {x})"
@@ -764,7 +764,7 @@ _SCOPE = ("mem = vm.mem", "get = mem.pages.get", "alloc = mem.alloc")
 _PY_OPS = {"add": "+", "sub": "-", "mul": "*", "ptrsub": "-", "eq": "==",
            "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 # The globals of step text: U<size> and P<size> are an access size's codec.
-_NAMES = {"_Return": _Return, "from_bytes": int.from_bytes, **{
+_NAMES = {"_Return": _Return, **{
     f"{c}{size}": f for size, pair in CODECS.items() for c, f in zip("UP", pair)}}
 
 

@@ -8,7 +8,8 @@ takes the slow path.  Each case stores and loads at one page offset, in each
 mode, with blocks interpreted and compiled on their first and 50th entry,
 and compares the values loaded and the bytes left in memory with the
 reference.  The SA store and its lower-bound fetch are tested at a page's
-last 8 bytes and across a page's end.
+last 8 bytes and across a page's end, and an access far wider than any
+codec on a small object stops at its check.
 """
 
 import pytest
@@ -182,3 +183,50 @@ def test_a_lower_bound_sa_fetch_reads_the_sa_at_a_page_end(monkeypatch,
                 assert res.violation.reason == Reason.LOWER_BOUND.value
             else:
                 assert (res.exit_code, res.ret) == (EXIT_OK, want)
+
+
+# Trip %n onward runs ^hit, whose access of {size} bytes starts at a 16-byte
+# object.
+WIDE_PIR = """
+fn @main(%n: int, %v: int) {{
+^entry:
+  %a = alloc 16
+  br ^loop
+^loop:
+  %i = phi [0, ^entry], [%i2, ^step]
+  %i2 = add %i, 1
+  %c = icmp lt %i2, %n
+  condbr %c, ^step, ^hit
+^hit:
+  {access}
+  br ^step
+^step:
+  %d = icmp lt %i2, 100
+  condbr %d, ^loop, ^done
+^done:
+  ret 0
+}}
+"""
+
+
+@pytest.mark.parametrize("access", ["%x = load %a, {size}",
+                                    "store %a, {size}, %v"],
+                         ids=["load", "store"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_access_far_wider_than_a_codec_stops_at_its_check(monkeypatch,
+                                                             kind, access):
+    size, texts, region_code = 1 << 20, [], vm_module._region_code
+    monkeypatch.setattr(vm_module, "_region_code", lambda src, label: (
+        texts.append(src), region_code(src, label))[1])
+    iprog = instrument_text(WIDE_PIR.format(access=access.format(size=size)),
+                            kind)
+    for backend in ("checks", "oracle"):
+        for hot in TIERS:
+            res, _ = run(monkeypatch, iprog, hot, [60, M64], backend)
+            assert res.exit_code == EXIT_BOUNDS, (backend, hot)
+    # Neither region text nor handler holds a literal of the size's mask.
+    assert texts and max(map(len, texts)) < 10_000
+    handler = vm_module._table(Mode(kind).mask)[
+        "load" if "load" in access else "store"][size]
+    assert max(c.bit_length() for c in handler.__code__.co_consts
+               if type(c) is int) <= 64
