@@ -26,10 +26,12 @@ highest region used so far and not over a popped frame.
 
 Allocation is cheap on purpose, since it is where the metadata is paid
 for.  A `SimMemory` picks its mode's allocator once (`_ALLOCATORS`), so
-`alloc` is a range check and one call; a bump allocator maps only the
-pages past the last one it mapped.  A read of 1, 2, 4 or 8 bytes within a
-page, or a write of them to a page written before (an SA among them), goes
-through that size's precompiled `struct` codec (`CODECS`).
+`alloc` is a range check and one call.  A heap allocator rounds inline,
+maps pages only for a span past those mapped, and tags inline with the
+checks `encode_prism` or `encode_ea32` make (pow2 calls `encode_pow2`).
+A read of 1, 2, 4 or 8 bytes within a page, or a write of them to a page
+written before (an SA among them), goes through that size's precompiled
+`struct` codec (`CODECS`).
 """
 
 from __future__ import annotations
@@ -38,14 +40,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from struct import Struct
 
-from .tagging import (
-    ADDR_MASK,
-    FrameClass,
-    Mode,
-    encode_ea32,
-    encode_pow2,
-    encode_prism,
-)
+from .tagging import (ADDR_MASK, ADDR_MASK_32, TAG_SHIFT, EncodingError,
+                      FrameClass, Mode, encode_pow2, encode_prism)
 
 PAGE = 1 << 16
 LOW_GUARD = 1 << 22                 # first 4MB is never mapped
@@ -54,6 +50,7 @@ ZERO_PAGE = bytes(PAGE)
 # Each access size's precompiled little-endian codec, (unpack_from, pack_into).
 CODECS = {s.size: (s.unpack_from, s.pack_into)
           for s in map(Struct, ("<B", "<H", "<I", "<Q"))}
+_PACK8 = CODECS[8][1]       # the SA store's
 
 SMALL_BASE = 1 << 32
 LARGE_BASE = 1 << 33
@@ -79,10 +76,6 @@ class FreeError(Exception):
 
 def _align_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
-
-
-def _next_pow2(value: int) -> int:
-    return 1 << max(0, (value - 1).bit_length())
 
 
 @dataclass(slots=True)
@@ -148,9 +141,9 @@ class SimMemory:
         # [bounds[i], bounds[i+1]), newest first and one per tag.
         self._bounds: list[int] = []
         self._owners: list[tuple[AllocationRecord, ...]] = []
-        # Allocator cursors.
-        self._small_frame: int | None = None
-        self._small_bump = 0
+        # Allocator cursors; a full frame's bump opens the first small frame.
+        self._small_frame = 0
+        self._small_bump = PAGE
         self._next_small = SMALL_BASE
         self._large_frames: dict[int, _LargeFrame] = {}
         self._next_large = LARGE_BASE
@@ -174,11 +167,10 @@ class SimMemory:
             self.pages.setdefault(base, ZERO_PAGE)
 
     def _map_bump(self, start: int, end: int) -> None:
-        """map_range for a bump allocator, whose spans only rise: the pages
-        up to the last end it mapped are mapped already."""
-        if end > self._mapped:
-            self.map_range(max(start, self._mapped), end)
-            self._mapped = _align_up(end, PAGE)
+        """map_range for a bump allocator's span ending past `_mapped`: its
+        spans only rise, so the pages below `_mapped` are mapped already."""
+        self.map_range(max(start, self._mapped), end)
+        self._mapped = _align_up(end, PAGE)
 
     def read(self, addr: int, length: int) -> bytes:
         out = bytearray()
@@ -238,21 +230,26 @@ class SimMemory:
 
     def _alloc_prism(self, size: int) -> int:
         """A small frame's next slot if the object, q and the SA fit one."""
-        reserve = size + self.q + 8
+        q = self.q
+        reserve = size + q + 8
         if reserve > PAGE:
             return self.alloc_large(size)
-        if self._small_frame is None or self._small_bump + reserve > PAGE:
+        bump = self._small_bump
+        if bump + reserve > PAGE:
             if self._next_small >= LARGE_BASE:
                 raise AllocError("small-frame address space exhausted")
             self._small_frame = self._next_small
             self._next_small += PAGE
-            self._small_bump = 0
+            bump = 0
             self.map_range(self._small_frame, self._small_frame + PAGE)
-        sa = self._small_frame + self._small_bump
+        sa = self._small_frame + bump
         ea = sa + size
-        self._small_bump = _align_up(self._small_bump + reserve, 8)
-        tagged = encode_prism(sa, ea, FrameClass.SMALL)
-        return self._record(sa, ea, size, tagged, (sa, ea + self.q + 8))
+        self._small_bump = (bump + reserve + 7) & -8
+        # encode_prism's checks of a small object, and its tag.
+        if not 0 <= sa <= ea <= ADDR_MASK or sa >> 16 != ea >> 16:
+            raise EncodingError(f"bad small object: sa={sa:#x} ea={ea:#x}")
+        return self._record(sa, ea, size, (ea & 0xFFFF) << TAG_SHIFT | sa,
+                            (sa, ea + q + 8))
 
     def alloc_large(self, size: int) -> int:
         need = size + self.q + 8
@@ -283,34 +280,38 @@ class SimMemory:
     def alloc_pow2(self, size: int, kind: str = "heap") -> int:
         # Refused before any page is mapped: a q that leaves no room in
         # prism's 4GB frame even for one byte and its SA (alloc_large).
-        if self.q + 9 > MAX_ALLOC:
-            raise AllocError(f"q={self.q} padding needs more than a 4GB frame")
-        aligned = _next_pow2(size + 1)
-        if aligned.bit_length() - 1 > 46 or self._pow2_bump + aligned > ADDR_MASK:
+        q = self.q
+        if q + 9 > MAX_ALLOC:
+            raise AllocError(f"q={q} padding needs more than a 4GB frame")
+        log2 = size.bit_length()        # the smallest power of 2 over size
+        aligned, bump = 1 << log2, self._pow2_bump
+        if log2 > 46 or bump + aligned > ADDR_MASK:
             raise AllocError(f"pow2 allocation of {size} exceeds the budget")
-        reserve = aligned if self.q == 0 else aligned + self.q - 1
-        sa = _align_up(self._pow2_bump, aligned)
-        self._pow2_bump = sa + reserve
-        self._map_bump(sa, sa + reserve)
-        ea = sa + size
-        tagged = encode_pow2(sa, aligned.bit_length() - 1)
-        return self._record(sa, ea, size, tagged, (sa, sa + reserve), kind,
-                            aligned_size=aligned)
+        sa = (bump + aligned - 1) & -aligned
+        self._pow2_bump = end = sa + (aligned if q == 0 else aligned + q - 1)
+        if end > self._mapped:
+            self._map_bump(sa, end)
+        return self._record(sa, sa + size, size, encode_pow2(sa, log2),
+                            (sa, end), kind, aligned)
 
     def alloc_32(self, size: int, kind: str = "heap") -> int:
-        sa = _align_up(self._bump32, 8)
+        sa = (self._bump32 + 7) & -8
         ea = sa + size
         end = ea + self.q + 8
         if end > (1 << 32) - TOP_GUARD:
             raise AllocError("32-bit address space exhausted")
         self._bump32 = end
-        self._map_bump(sa, end)
-        return self._record(sa, ea, size, encode_ea32(sa, ea), (sa, end), kind)
+        if end > self._mapped:
+            self._map_bump(sa, end)
+        # encode_ea32's checks, and its tag.
+        if not 0 <= sa <= ea <= ADDR_MASK_32:
+            raise EncodingError(f"bad 32-bit object: sa={sa:#x} ea={ea:#x}")
+        return self._record(sa, ea, size, ea << 32 | sa, (sa, end), kind)
 
     def alloc_stack_escaped(self, size: int, kind: str = "stack") -> int:
         """Escaped fixed-size stack object (or a global) with metadata attached."""
         return self._alloc_stack(
-            size, kind, _next_pow2(size + 1) if size + 8 <= PAGE else None)
+            size, kind, 1 << size.bit_length() if size + 8 <= PAGE else None)
 
     def alloc_stack_dynamic(self, size: int) -> int:
         """Runtime-sized alloca: realign to 64KB only when the object straddles."""
@@ -362,7 +363,7 @@ class SimMemory:
             off = at & (PAGE - 1)
             page = self.pages.get(at - off)
             if isinstance(page, bytearray) and off <= PAGE - 8:
-                CODECS[8][1](page, off, sa)
+                _PACK8(page, off, sa)
             else:
                 self.write_int(at, 8, sa)
         return tagged

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from hashlib import sha256
 
 from .analysis import CfgInfo
 from .heap import TOP_GUARD
@@ -103,11 +104,15 @@ class InstrumentedProgram:
     ksa_maps: dict[str, dict] = field(default_factory=dict)
     # The VM's decoded block plans, by function (see vm.py).
     plans: dict[str, dict] = field(default_factory=dict)
+    # Its source's digest, mode and opts, by which and the sites' statuses
+    # the VM keeps region code (vm.py); rebuild_index drops it.
+    key: tuple | None = None
 
     def rebuild_index(self) -> None:
         self.sites_by_instr = {}
         self.sites_by_origin = {}
         self.plans = {}
+        self.key = None
         for site in self.sites:
             self.sites_by_instr.setdefault(id(site.instr), []).append(site)
             self.sites_by_origin.setdefault(id(site.origin), []).append(site)
@@ -128,7 +133,9 @@ class InstrumentedProgram:
 
 def instrument(program: Program, mode: Mode,
                opts: tuple = ALL_OPTS) -> InstrumentedProgram:
-    """Insert checks and run the enabled optimizations.  Mutates `program`."""
+    """Insert checks and run the enabled optimizations.  Mutates `program`,
+    so it takes the source text off it to key the result with."""
+    text, program.text = program.text, None
     infos = require_valid(program)
     sites: list[CheckSite] = []
     ksa_maps: dict[str, dict] = {}
@@ -152,6 +159,8 @@ def instrument(program: Program, mode: Mode,
     if "hoist" in opts:
         opt_loop_hoist(iprog)
     iprog.rebuild_index()
+    if text is not None:
+        iprog.key = sha256(text.encode()).digest(), mode, iprog.opts
     return iprog
 
 

@@ -171,6 +171,9 @@ class Program:
     globals: list[Global] = field(default_factory=list)
     externs: dict[str, str] = field(default_factory=dict)
     entry: str = "main"
+    # The text `parse` read this from, which `instrument` keys its result
+    # by; code that edits a parsed Program clears it.
+    text: str | None = field(default=None, repr=False, compare=False)
 
 
 # --------------------------------------------------------------------- parse
@@ -300,7 +303,7 @@ def _diagnose(line: str, lineno: int):
 
 
 def parse(text: str) -> Program:
-    program = Program()
+    program = Program(text=text)
     fn: Function | None = None
     block: Block | None = None
     rules, values = _RULES, _Values()

@@ -47,11 +47,13 @@ back to the interpreter, which raises; else it adds its steps to
 each step that may raise or leave the region (all but a pure op with no
 sites), as only those read it.
 
-A region is one text per program, block and backend, and a program
-instrumented again writes the same texts.  So the code objects compiled
-from them are kept by text and label, the last _MAX_CODES of them per
-process; each region `exec`s its code into a namespace of its own that
-binds its program's instructions, sites and handlers.
+A region's text follows from the parsed source, mode and opts
+(`InstrumentedProgram.key`), the function, the label, the backend and the
+sites' statuses, so its code is kept by those, the last _MAX_CODES regions
+per process, with a recipe of the block and step each of its `I{j}`,
+`S{j}` and `H{j}` binds.  A program with the same key decodes the region's
+blocks and binds the recipe, writing no text; one with no key writes its
+texts.  A region `exec`s its code into a namespace of its own.
 """
 
 from __future__ import annotations
@@ -82,9 +84,9 @@ MAX_CALL_DEPTH = 200
 # A backend compiles a block of a function's plans on its HOT_THRESHOLD-th
 # entry.
 HOT_THRESHOLD = 50
-# Region code objects by text and label, oldest first (`_region_code`).
-# The bound keeps a campaign of distinct programs from holding every text,
-# as `re` bounds its pattern cache.
+# Region code objects with their recipes by what determines their text,
+# oldest first (`compile_block`).  The bound keeps a campaign of distinct
+# programs from holding every region, as `re` bounds its pattern cache.
 _CODES: dict = {}
 _MAX_CODES = 256
 
@@ -170,6 +172,8 @@ class _FunctionPlans(dict):
         self.mode = iprog.mode
         self.handlers = _table(iprog.mode.mask)
         self.tiers = (({}, {}), ({}, {}))
+        # What, with a label and a backend, determines a region's text.
+        self.key = iprog.key and (*iprog.key, fn.name)
 
     def __missing__(self, label: str) -> tuple:
         instrs = self.blocks[label].instrs
@@ -201,6 +205,11 @@ class _FunctionPlans(dict):
         running site list `which`, or None if the block holds a call.  It
         returns the block it left by and that block's result, or None to
         have the interpreter run block `label`."""
+        # Site statuses are in it, as a mutation self-test may change them.
+        key = self.key and (*self.key, label, which, *(
+            s.status for sites in self.site_tables[0].values() for s in sites))
+        if key in _CODES:
+            return self._bind(*_CODES[key], which)
         cfg = self.cfg
         region = set().union(*(loop.body for loop in cfg.loops
                                if loop.header == label)) & cfg.reachable
@@ -212,7 +221,7 @@ class _FunctionPlans(dict):
                            if b in region and b != label and not calls]
         length = {b: len(self[b][0]) + len(self[b][1]) for b in order}
         mask, m64, fresh = f"{self.mode.mask:#x}", f"{MASK64:#x}", count()
-        ns = dict(_NAMES)
+        recipe = []     # each step's (j, block, step index)
         # Each value the region defines has a local; one it computes inline
         # (kept, with its block) reaches the frame only where spilled.
         names, kept, head, entry, body = {}, {}, [], [], []
@@ -336,17 +345,18 @@ class _FunctionPlans(dict):
             phis, steps = self[b]
             # i counts the block's steps taken, for vm.steps on the way out.
             out, records, i = [], {}, len(phis)
-            for instr, handler, sites in steps:
+            for at, (instr, handler, sites) in enumerate(steps):
                 op, dest, args = instr.op, instr.dest, instr.operands
                 i += 1
                 j = next(fresh)
-                ns[f"I{j}"], ns[f"S{j}"] = instr, sites[which] if sites else ()
-                if ns[f"S{j}"] or op not in _PURE:  # it may raise or leave
+                recipe.append((j, b, at))
+                sites = sites[which] if sites else ()
+                if sites or op not in _PURE:    # it may raise or leave
                     out.append(f"i = {i}")
                 step = _step_source(instr, read, mask, names.get(dest, "_"),
                                     instr.size) if op in _STEPS else []
                 out += step[:op in _MEMORY]     # `a`, which sites read
-                run_sites(j, instr, ns[f"S{j}"])
+                run_sites(j, instr, sites)
                 out += step[op in _MEMORY:]
                 if op == "ret":
                     out.append(f"return {b!r}, _Return("
@@ -358,7 +368,6 @@ class _FunctionPlans(dict):
                     out += [f"if {read(args[0])}:", *_indent(then), "else:",
                             *_indent(other)]
                 elif op in HANDLERS:        # run by its handler
-                    ns[f"H{j}"] = handler
                     out += [*spill(args), f"H{j}(vm, I{j}, env)"]
                     if dest is not None:
                         out.append(f"{names[dest]} = env[{dest!r}]")
@@ -381,20 +390,28 @@ class _FunctionPlans(dict):
              "try:",
              "    while True:", *_indent(_indent(body)),
              "finally:", "    vm.steps = s + i"])
-        exec(_region_code(src, label), ns)
+        code = _region_code(src, label)
+        if key:
+            if len(_CODES) >= _MAX_CODES:
+                del _CODES[next(iter(_CODES))]      # the oldest, as `re` drops
+            _CODES[key] = code, recipe
+        return self._bind(code, recipe, which)
+
+    def _bind(self, code, recipe, which: int):
+        """Region `code` run in a namespace of its own binding each step's
+        I{j}, S{j} and H{j}, found by its (j, block, step index) in recipe."""
+        ns = dict(_NAMES)
+        for j, b, n in recipe:
+            instr, handler, sites = self[b][1][n]
+            ns[f"I{j}"], ns[f"S{j}"], ns[f"H{j}"] = (
+                instr, sites[which] if sites else (), handler)
+        exec(code, ns)
         return ns.pop("region")     # no cycle through its globals
 
 
 def _region_code(src: str, label: str):
-    """The code object of region text `src` headed by `label`, compiled once
-    while it stays among the last _MAX_CODES texts compiled."""
-    key = src, label
-    code = _CODES.get(key)
-    if code is None:
-        if len(_CODES) >= _MAX_CODES:
-            del _CODES[next(iter(_CODES))]      # the oldest, as `re` drops
-        code = _CODES[key] = compile(src, f"<region {label}>", "exec")
-    return code
+    """The code object of region text `src` headed by `label`."""
+    return compile(src, f"<region {label}>", "exec")
 
 
 def _indent(lines) -> list:
@@ -452,8 +469,8 @@ def _handler(op: str, mask: str, shape):
     if op == "gep":
         lines.append("c, (" + "".join(f"({t}, {k}), " for t, k in terms)
                      + ") = instr.gep_const, instr.gep_terms")
-    elif op in _MEMORY or op == "alloc":
-        lines += _SCOPE
+    elif op in _MEMORY or op == "alloc":    # mem, and get or alloc
+        lines += _SCOPE[:2] if op in _MEMORY else _SCOPE[::2]
     model = Instr(op, operands=xs, gep_const="c", gep_terms=terms, cmp=shape)
     ns = dict(_NAMES)
     exec(compile("\n    ".join(lines + _step_source(

@@ -598,8 +598,9 @@ fn @main(%n: int) {
 
 
 def region_texts(monkeypatch):
-    """The text of each region compiled from now on, by its label, whether
-    or not the code cache holds it already."""
+    """The text of each region compiled from now on, by its label.  The code
+    cache starts empty, so a region compiled before is written again."""
+    monkeypatch.setattr(vm_module, "_CODES", {})
     texts, region_code = {}, vm_module._region_code
 
     def spy(src, label):
@@ -683,16 +684,16 @@ fn @first(%p: ptr) {
 @pytest.mark.parametrize("backend", ["checks", "oracle"])
 def test_a_shared_region_text_reports_its_own_programs_sites(monkeypatch,
                                                              kind, backend):
-    monkeypatch.setattr(vm_module, "_CODES", {})
     runs = []
     for text in (EVENT_AND_ABORT_PIR, SHIFTED_SIDS_PIR):
         iprog = instrument_text(text, kind, 8)
         want = tiered(monkeypatch, iprog, NEVER_HOT, [8, 5], backend)
-        before = len(vm_module._CODES)
+        texts = region_texts(monkeypatch)
         assert tiered(monkeypatch, iprog, 1, [8, 5], backend) == want
-        runs.append((want, len(vm_module._CODES) - before))
-    (first, compiled), (shifted, again) = runs
-    assert compiled > 0 and again == 0
+        runs.append((want, dict(texts)))
+    # Each program writes its own region texts, the same ones.
+    (first, written), (shifted, again) = runs
+    assert written and again == written
     assert first[0] == shifted[0] == EXIT_BOUNDS
     assert shifted[8]["sid"] == first[8]["sid"] + 1
     assert [e[1] for e in shifted[10]] == [e[1] + 1 for e in first[10]]
@@ -700,13 +701,20 @@ def test_a_shared_region_text_reports_its_own_programs_sites(monkeypatch,
 
 
 def test_the_code_cache_keeps_to_its_bound(monkeypatch):
-    monkeypatch.setattr(vm_module, "_CODES", {})
-    bound = vm_module._MAX_CODES
-    texts = [f"def region(vm, env, prev):\n    return {n}"
-             for n in range(bound + 3)]
-    codes = [vm_module._region_code(text, "loop") for text in texts]
-    assert len(vm_module._CODES) == bound
-    # The oldest texts go first; a text still held compiles no more.
-    assert [(text, "loop") in vm_module._CODES for text in texts[:4]] == [
-        False, False, False, True]
-    assert vm_module._region_code(texts[-1], "loop") is codes[-1]
+    monkeypatch.setattr(vm_module, "_MAX_CODES", 4)
+    monkeypatch.setattr(vm_module, "HOT_THRESHOLD", 50)
+    texts = region_texts(monkeypatch)
+    # Seven programs with one region each.
+    programs = [TWO_BLOCK_PIR.replace("add %v, 1", f"add %v, {n}")
+                for n in range(7)]
+
+    def writes(text):
+        texts.clear()
+        assert VM(instrument_text(text)).run([60]).ok
+        return len(texts)
+
+    assert [writes(text) for text in programs] == [1] * 7
+    assert len(vm_module._CODES) == 4
+    # The oldest programs' regions go first; one still held is not written.
+    assert [writes(text) for text in programs[3:]] == [0] * 4
+    assert writes(programs[2]) == 1
